@@ -169,8 +169,7 @@ struct SelectStmt {
 
 /// `begin;` — starts an explicit transaction: the session stops refreshing
 /// its snapshot per statement and accumulates reads and buffered writes
-/// until `commit;` or `abort;`. A no-op without an attached transaction
-/// manager (the embedded single-session mode is always in a transaction).
+/// until `commit;` or `abort;`.
 struct BeginStmt {};
 struct CommitStmt {};
 /// `rollback;` / `abort;` — discards the transaction's buffered writes

@@ -25,26 +25,6 @@ using objectlog::StateContext;
 
 namespace {
 
-/// Scoped engine-gate acquisition for one leaf statement: shared for
-/// reads and buffered DML, exclusive for DDL/admin statements that mutate
-/// the catalog, rule set, or propagation network. A no-op in legacy mode
-/// (no transaction manager attached). Wrapper statements (profile, trace,
-/// explain analyze) take no lock themselves — their inner statement
-/// re-dispatches and locks — so `profile commit;` cannot self-deadlock on
-/// the non-reentrant gate.
-struct GateLock {
-  GateLock(txn::TransactionManager* mgr, bool exclusive) {
-    if (mgr == nullptr) return;
-    if (exclusive) {
-      excl = std::unique_lock<std::shared_mutex>(mgr->engine_mutex());
-    } else {
-      shared = std::shared_lock<std::shared_mutex>(mgr->engine_mutex());
-    }
-  }
-  std::shared_lock<std::shared_mutex> shared;
-  std::unique_lock<std::shared_mutex> excl;
-};
-
 /// Uniform refusal for provenance/wave statements in OBS=OFF builds: the
 /// Null twins would silently record nothing, which reads as "no firings"
 /// — an explicit error is the honest answer.
@@ -144,13 +124,19 @@ Result<RelationId> Session::ExtentRelation(TypeId type) {
   if (meta == nullptr) {
     return Status::NotFound("unknown type id " + std::to_string(type));
   }
-  FunctionSignature sig;
-  sig.argument_types.push_back(ColumnType{ValueKind::kObject, type});
-  DELTAMON_ASSIGN_OR_RETURN(
-      RelationId rel, engine_.db.catalog().CreateStoredFunction(
-                          "_extent_" + meta->name, std::move(sig)));
-  extents_[type] = rel;
-  return rel;
+  // The extent is shared by every session: whoever needs it first creates
+  // it (`create type` does, under the exclusive gate), the others find it
+  // by name.
+  const std::string name = "_extent_" + meta->name;
+  Result<RelationId> rel = engine_.db.catalog().FindRelation(name);
+  if (!rel.ok()) {
+    FunctionSignature sig;
+    sig.argument_types.push_back(ColumnType{ValueKind::kObject, type});
+    rel = engine_.db.catalog().CreateStoredFunction(name, std::move(sig));
+    DELTAMON_RETURN_IF_ERROR(rel.status());
+  }
+  extents_[type] = *rel;
+  return *rel;
 }
 
 Result<QueryResult> Session::Execute(const std::string& source) {
@@ -165,17 +151,13 @@ Result<QueryResult> Session::Execute(const std::string& source) {
 Result<QueryResult> Session::ExecuteProfiled(const std::string& source,
                                              obs::Profile* profile) {
   // Same attachment discipline as ExecExplainAnalyze: session evaluators
-  // pick the profile up through active_profiler_, the rule manager routes
-  // it through the propagator. Restored even on error so a failed slow
-  // statement cannot leak the profiler into the next one. In concurrent-
-  // transaction mode the rule manager is shared, so the profiler is not
-  // installed globally here; commit passes it to the transaction manager,
-  // which attaches it for this transaction's (solo) wave only.
+  // pick the profile up through active_profiler_, and commit passes it to
+  // the transaction manager, which attaches it for this transaction's solo
+  // wave only. Restored even on error so a failed slow statement cannot
+  // leak the profiler into the next one.
   obs::Profile* const saved = active_profiler_;
   active_profiler_ = profile;
-  if (txn_mgr_ == nullptr) engine_.rules.SetProfiler(profile);
   Result<QueryResult> result = Execute(source);
-  if (txn_mgr_ == nullptr) engine_.rules.SetProfiler(nullptr);
   active_profiler_ = saved;
   return result;
 }
@@ -183,34 +165,42 @@ Result<QueryResult> Session::ExecuteProfiled(const std::string& source,
 Status Session::ExecStatement(const Statement& stmt, QueryResult* last) {
   // Locking happens here, at leaf statement dispatch: reads and buffered
   // DML share the engine gate, DDL/admin statements that mutate shared
-  // engine state take it exclusively, and transaction-boundary statements
-  // (begin/commit/abort) do their own locking — commit in particular must
-  // enter the group-commit queue without the gate held, since the commit
-  // leader takes it exclusively for the wave.
+  // engine state (catalog, rule set, propagation network) take it
+  // exclusively, and transaction-boundary statements (begin/commit/abort)
+  // do their own locking — commit in particular must enter the group-
+  // commit queue without the gate held, since the commit leader takes it
+  // exclusively for the wave. Wrapper statements (profile, trace, explain
+  // analyze) take no lock themselves — their inner statement re-dispatches
+  // and locks — so `profile commit;` cannot self-deadlock on the
+  // non-reentrant gate.
   return std::visit(
       [this, last](const auto& node) -> Status {
         using T = std::decay_t<decltype(node)>;
         if constexpr (std::is_same_v<T, CreateTypeStmt>) {
-          GateLock lock(txn_mgr_, /*exclusive=*/true);
-          return engine_.db.catalog().CreateType(node.name).status();
+          std::unique_lock lock(gate());
+          DELTAMON_ASSIGN_OR_RETURN(TypeId type,
+                                    engine_.db.catalog().CreateType(node.name));
+          // Create the extent now, under the exclusive gate: selects that
+          // range over the type hold the gate only shared.
+          return ExtentRelation(type).status();
         } else if constexpr (std::is_same_v<T, CreateFunctionStmt>) {
-          GateLock lock(txn_mgr_, /*exclusive=*/true);
+          std::unique_lock lock(gate());
           return ExecCreateFunction(node);
         } else if constexpr (std::is_same_v<T, CreateRuleStmt>) {
-          GateLock lock(txn_mgr_, /*exclusive=*/true);
+          std::unique_lock lock(gate());
           return ExecCreateRule(node);
         } else if constexpr (std::is_same_v<T, CreateInstancesStmt>) {
-          GateLock lock(txn_mgr_, /*exclusive=*/true);
+          std::unique_lock lock(gate());
           return ExecCreateInstances(node);
         } else if constexpr (std::is_same_v<T, UpdateStmt>) {
-          GateLock lock(txn_mgr_, /*exclusive=*/false);
+          std::shared_lock lock(gate());
           RefreshSnapshotLocked();
           return ExecUpdate(node);
         } else if constexpr (std::is_same_v<T, ActivateStmt>) {
-          GateLock lock(txn_mgr_, /*exclusive=*/true);
+          std::unique_lock lock(gate());
           return ExecActivate(node);
         } else if constexpr (std::is_same_v<T, SelectStmt>) {
-          GateLock lock(txn_mgr_, /*exclusive=*/false);
+          std::shared_lock lock(gate());
           RefreshSnapshotLocked();
           return ExecSelect(node, last);
         } else if constexpr (std::is_same_v<T, BeginStmt>) {
@@ -233,18 +223,18 @@ Status Session::ExecStatement(const Statement& stmt, QueryResult* last) {
         } else if constexpr (std::is_same_v<T, ExplainAnalyzeStmt>) {
           return ExecExplainAnalyze(node, last);
         } else if constexpr (std::is_same_v<T, AnalyzeRuleStmt>) {
-          GateLock lock(txn_mgr_, /*exclusive=*/true);
+          std::unique_lock lock(gate());
           return ExecAnalyzeRule(node, last);
         } else if constexpr (std::is_same_v<T, TraceStmt>) {
           return ExecTrace(node, last);
         } else if constexpr (std::is_same_v<T, ShowNetworkStmt>) {
           // Exclusive: network() rebuilds the propagation network lazily.
-          GateLock lock(txn_mgr_, /*exclusive=*/true);
+          std::unique_lock lock(gate());
           return ExecShowNetwork(node, last);
         } else if constexpr (std::is_same_v<T, ShowSlowStmt>) {
           return ExecShowSlow(last);
         } else if constexpr (std::is_same_v<T, ResetMetricsStmt>) {
-          GateLock lock(txn_mgr_, /*exclusive=*/true);
+          std::unique_lock lock(gate());
           obs::Registry::Global().Reset();
           // Node attribution belongs to the same observable state; a reset
           // gives the next measurement a clean slate for both.
@@ -253,20 +243,20 @@ Status Session::ExecStatement(const Statement& stmt, QueryResult* last) {
           last->report += "METRICS RESET\n";
           return Status::OK();
         } else if constexpr (std::is_same_v<T, SetThreadsStmt>) {
-          GateLock lock(txn_mgr_, /*exclusive=*/true);
+          std::unique_lock lock(gate());
           engine_.rules.SetNumThreads(
               static_cast<size_t>(node.num_threads));
           last->report += "THREADS " +
                           std::to_string(engine_.rules.num_threads()) + "\n";
           return Status::OK();
         } else if constexpr (std::is_same_v<T, SetKernelsStmt>) {
-          GateLock lock(txn_mgr_, /*exclusive=*/true);
+          std::unique_lock lock(gate());
           engine_.rules.SetKernelsEnabled(node.on);
           last->report +=
               std::string("KERNELS ") + (node.on ? "on" : "off") + "\n";
           return Status::OK();
         } else if constexpr (std::is_same_v<T, ShowSettingsStmt>) {
-          GateLock lock(txn_mgr_, /*exclusive=*/false);
+          std::shared_lock lock(gate());
           last->report += "SETTINGS\n";
           last->report += "  threads " +
                           std::to_string(engine_.rules.num_threads()) + "\n";
@@ -295,14 +285,14 @@ Status Session::ExecStatement(const Statement& stmt, QueryResult* last) {
         } else if constexpr (std::is_same_v<T, SetProvenanceStmt>) {
           if (!DELTAMON_OBS_ENABLED) return ObsDisabled("set provenance");
           // Exclusive: flips what concurrent commit waves capture.
-          GateLock lock(txn_mgr_, /*exclusive=*/true);
+          std::unique_lock lock(gate());
           engine_.rules.SetProvenanceEnabled(node.on);
           last->report +=
               std::string("PROVENANCE ") + (node.on ? "on" : "off") + "\n";
           return Status::OK();
         } else if constexpr (std::is_same_v<T, SetWaveCaptureStmt>) {
           if (!DELTAMON_OBS_ENABLED) return ObsDisabled("set wave_capture");
-          GateLock lock(txn_mgr_, /*exclusive=*/true);
+          std::unique_lock lock(gate());
           engine_.rules.SetWaveCaptureEnabled(node.on);
           last->report +=
               std::string("WAVE_CAPTURE ") + (node.on ? "on" : "off") + "\n";
@@ -322,9 +312,8 @@ Status Session::ExecStatement(const Statement& stmt, QueryResult* last) {
 }
 
 void Session::RefreshSnapshotLocked() {
-  if (txn_mgr_ == nullptr) return;
   if (!txn_started_) {
-    txn_mgr_->Begin(txn_);
+    engine_.txn.Begin(txn_);
     txn_started_ = true;
     return;
   }
@@ -334,42 +323,41 @@ void Session::RefreshSnapshotLocked() {
   // on its own). Once anything is buffered, the snapshot is pinned until
   // commit or abort.
   if (!txn_.explicit_begin() && !txn_.HasWrites() && !ddl_dirty_) {
-    txn_mgr_->Begin(txn_);
+    engine_.txn.Begin(txn_);
   }
 }
 
 StateContext Session::EvalContext() {
   StateContext ctx;
-  if (txn_mgr_ != nullptr) ctx.txn = &txn_;
+  ctx.txn = &txn_;
   return ctx;
 }
 
 Status Session::ExecBegin() {
-  if (txn_mgr_ == nullptr) return Status::OK();  // always in a transaction
-  GateLock lock(txn_mgr_, /*exclusive=*/false);
+  std::shared_lock lock(gate());
   if (txn_started_ && txn_.HasWrites()) {
     return Status::FailedPrecondition(
         "begin: transaction has buffered changes; commit or abort first");
   }
-  txn_mgr_->Begin(txn_);
+  engine_.txn.Begin(txn_);
   txn_started_ = true;
   txn_.set_explicit_begin(true);
   return Status::OK();
 }
 
 Status Session::ExecCommit() {
-  if (txn_mgr_ == nullptr) return engine_.db.Commit();
-  if (!txn_started_ || (!txn_.HasWrites() && !ddl_dirty_)) {
+  if (!ddl_dirty_ && (!txn_started_ || !txn_.HasWrites())) {
     // Read-only commit: nothing to validate or propagate. Restart the
     // snapshot at the current version without a queue round trip.
-    GateLock lock(txn_mgr_, /*exclusive=*/false);
-    txn_mgr_->Begin(txn_);
+    std::shared_lock lock(gate());
+    engine_.txn.Begin(txn_);
     txn_started_ = true;
+    DELTAMON_OBS_COUNT("txn.commits.fastpath", 1);
     return Status::OK();
   }
   // Group commit; a non-null profiler (explain analyze / slow capture)
   // forces a batch-of-one so the profile describes only this transaction.
-  Status s = txn_mgr_->Commit(txn_, active_profiler_);
+  Status s = engine_.txn.Commit(txn_, active_profiler_);
   txn_started_ = true;  // the manager re-registered the snapshot
   if (s.code() != StatusCode::kTxnConflict) {
     // Direct DDL writes either committed with the wave or (on a check
@@ -381,12 +369,11 @@ Status Session::ExecCommit() {
 }
 
 Status Session::ExecRollback() {
-  if (txn_mgr_ == nullptr) return engine_.db.Rollback();
   // Abort: discard the buffered overlay and read footprint and restart at
   // the current version. Direct DDL writes are not transactional and stay
   // applied (they ride the next commit wave).
-  GateLock lock(txn_mgr_, /*exclusive=*/false);
-  txn_mgr_->Begin(txn_);
+  std::shared_lock lock(gate());
+  engine_.txn.Begin(txn_);
   txn_started_ = true;
   return Status::OK();
 }
@@ -412,7 +399,7 @@ Status Session::ExecProfile(const ProfileStmt& stmt, QueryResult* last) {
   // Under concurrency the trace belongs to the rule manager's most recent
   // wave, which may include (or be) another session's work — read it under
   // the shared gate so it is at least a consistent wave.
-  GateLock lock(txn_mgr_, /*exclusive=*/false);
+  std::shared_lock lock(gate());
   const std::vector<core::TraceEntry>& trace = engine_.rules.last_trace();
   if (!trace.empty() && diff.counters.contains("propagator.waves")) {
     last->report += "differentials:\n";
@@ -451,12 +438,7 @@ Status Session::ExecExplainAnalyze(const ExplainAnalyzeStmt& stmt,
   obs::Profile profile;
   obs::Profile* const saved = active_profiler_;
   active_profiler_ = &profile;
-  // In concurrent-transaction mode the shared rule manager's profiler is
-  // not touched here: an inner commit hands active_profiler_ to the
-  // transaction manager, which profiles that transaction's solo wave.
-  if (txn_mgr_ == nullptr) engine_.rules.SetProfiler(&profile);
   Status status = ExecStatement(*stmt.inner, last);
-  if (txn_mgr_ == nullptr) engine_.rules.SetProfiler(nullptr);
   active_profiler_ = saved;
   DELTAMON_RETURN_IF_ERROR(status);
 
@@ -464,7 +446,7 @@ Status Session::ExecExplainAnalyze(const ExplainAnalyzeStmt& stmt,
   // the estimates of the next explain analyze) can use them. The stats
   // store hangs off the shared catalog — exclusive gate.
   {
-    GateLock lock(txn_mgr_, /*exclusive=*/true);
+    std::unique_lock lock(gate());
     RecordObservedStats(profile);
   }
 
@@ -501,13 +483,19 @@ Status Session::ExecAnalyzeRule(const AnalyzeRuleStmt& stmt,
 }
 
 Status Session::ExecTrace(const TraceStmt& stmt, QueryResult* last) {
-  // Record into a private ring so a surrounding sink (another trace, a
-  // test's sink) is shadowed for the statement and restored afterwards.
+  // Record into a private ring installed in this thread's trace scope: a
+  // surrounding sink (another trace, a test's sink) is shadowed for the
+  // statement and restored afterwards, and statements running on other
+  // threads never see the ring. Pool workers and a solo commit wave run
+  // by another session's leader inherit the scope.
   obs::RingTraceSink ring(/*capacity=*/65536);
-  obs::TraceSink* previous = obs::GetTraceSink();
-  obs::SetTraceSink(&ring);
-  Status status = ExecStatement(*stmt.inner, last);
-  obs::SetTraceSink(previous);
+  Status status;
+  {
+    obs::TraceScope scope = obs::CurrentTraceScope();
+    scope.sink = &ring;
+    obs::ScopedTraceScope trace_scope(scope);
+    status = ExecStatement(*stmt.inner, last);
+  }
   DELTAMON_RETURN_IF_ERROR(status);
 
   const std::string path =
@@ -579,7 +567,7 @@ Status Session::ExecExplainFiring(const ExplainFiringStmt& stmt,
   {
     // A typo'd rule name should error as such, not as "no recorded
     // firing". Shared gate: FindRule only reads the rule table.
-    GateLock lock(txn_mgr_, /*exclusive=*/false);
+    std::shared_lock lock(gate());
     DELTAMON_RETURN_IF_ERROR(engine_.rules.FindRule(stmt.rule).status());
   }
   const auto& log = obs::GlobalProvenanceLog();
@@ -793,20 +781,20 @@ Status Session::ExecCreateRule(const CreateRuleStmt& stmt) {
       compiler.CompileScalarExprs(exprs, query.named_vars, num_named));
   action_clause.profile_label = "action:" + stmt.name;
 
+  // The action owns what it needs — the compiled clause and this
+  // session's procedure table — so it can fire after the session is gone.
   auto shared_clause = std::make_shared<Clause>(std::move(action_clause));
-  Session* session = this;
   rules::RuleAction action =
-      [session, shared_clause, num_params, num_instance_vars, set_relation,
-       set_num_args, proc_name,
+      [&engine = engine_, procedures = procedures_, shared_clause, num_params,
+       num_instance_vars, set_relation, set_num_args, proc_name,
        kind = stmt.action.kind](Database& db, const Tuple& params,
                                 const std::vector<Tuple>& instances)
       -> Status {
     // Actions run inside the deferred check phase, possibly on the commit
     // leader's thread on behalf of a whole wave — the profiler (if any) is
-    // whichever one the rule manager has armed for this wave, not this
-    // session's. (Single-threaded mode sets both to the same profile.)
-    Evaluator evaluator(db, session->engine_.registry, StateContext{});
-    evaluator.SetProfiler(session->engine_.rules.profiler());
+    // whichever one the rule manager has armed for this wave.
+    Evaluator evaluator(db, engine.registry, StateContext{});
+    evaluator.SetProfiler(engine.rules.profiler());
     for (const Tuple& instance : instances) {
       std::vector<std::pair<int, Value>> bindings;
       for (size_t i = 0; i < num_params; ++i) {
@@ -835,8 +823,8 @@ Status Session::ExecCreateRule(const CreateRuleStmt& stmt) {
                                           Tuple(std::move(args)),
                                           Tuple(std::move(results))));
         } else {
-          auto proc = session->procedures_.find(proc_name);
-          if (proc == session->procedures_.end()) {
+          auto proc = procedures->find(proc_name);
+          if (proc == procedures->end()) {
             return Status::NotFound("procedure '" + proc_name +
                                     "' is not registered");
           }
@@ -854,7 +842,6 @@ Status Session::ExecCreateRule(const CreateRuleStmt& stmt) {
   DELTAMON_RETURN_IF_ERROR(
       engine_.rules.CreateRule(stmt.name, cond, std::move(action), options)
           .status());
-  created_rules_ = true;
   return Status::OK();
 }
 
@@ -871,7 +858,7 @@ Status Session::ExecCreateInstances(const CreateInstancesStmt& stmt) {
     // ride the next commit wave.
     DELTAMON_RETURN_IF_ERROR(engine_.db.Insert(extent, Tuple{Value(oid)}));
   }
-  if (txn_mgr_ != nullptr) ddl_dirty_ = true;
+  ddl_dirty_ = true;
   return Status::OK();
 }
 
@@ -934,31 +921,17 @@ Status Session::ExecUpdate(const UpdateStmt& stmt) {
                             EvalGroundExprs(target.args));
   DELTAMON_ASSIGN_OR_RETURN(Value value, EvalGroundExpr(*stmt.value));
   Tuple arg_tuple{std::move(args)};
-  if (txn_mgr_ != nullptr) {
-    // Concurrent-transaction mode: DML folds into the session's private
-    // overlay (view-aware, footprint-recorded) and reaches the shared
-    // store only when a commit wave applies it.
-    switch (stmt.kind) {
-      case UpdateStmt::Kind::kSet:
-        return txn_.BufferSet(catalog, rel, arg_tuple,
-                              Tuple{std::move(value)});
-      case UpdateStmt::Kind::kAdd:
-        return txn_.BufferInsert(catalog, rel,
-                                 arg_tuple.Concat(Tuple{std::move(value)}));
-      case UpdateStmt::Kind::kRemove:
-        return txn_.BufferDelete(catalog, rel,
-                                 arg_tuple.Concat(Tuple{std::move(value)}));
-    }
-    return Status::Internal("unknown update kind");
-  }
+  // DML folds into the session's private overlay (view-aware, footprint-
+  // recorded) and reaches the shared store only when a commit wave
+  // applies it.
   switch (stmt.kind) {
     case UpdateStmt::Kind::kSet:
-      return engine_.db.Set(rel, arg_tuple, Tuple{std::move(value)});
+      return txn_.BufferSet(catalog, rel, arg_tuple, Tuple{std::move(value)});
     case UpdateStmt::Kind::kAdd:
-      return engine_.db.Insert(rel,
+      return txn_.BufferInsert(catalog, rel,
                                arg_tuple.Concat(Tuple{std::move(value)}));
     case UpdateStmt::Kind::kRemove:
-      return engine_.db.Delete(rel,
+      return txn_.BufferDelete(catalog, rel,
                                arg_tuple.Concat(Tuple{std::move(value)}));
   }
   return Status::Internal("unknown update kind");

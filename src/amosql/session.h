@@ -1,7 +1,10 @@
 #ifndef DELTAMON_AMOSQL_SESSION_H_
 #define DELTAMON_AMOSQL_SESSION_H_
 
+#include <cassert>
 #include <functional>
+#include <memory>
+#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -32,6 +35,17 @@ struct QueryResult {
 /// maintains interface variables (:item1) and registered foreign
 /// procedures, and creates per-type extent relations on demand.
 ///
+/// Every session runs as an optimistic transaction of the engine's
+/// TransactionManager — the interactive shell, the examples and the tests
+/// exactly as the network server's connections; one session alone is the
+/// N=1 case. Statements take the manager's engine gate (shared for reads
+/// and DML, exclusive for DDL and admin commands). DML buffers into a
+/// private snapshot overlay instead of writing the shared store, and
+/// `commit` goes through the group-commit queue with first-committer-wins
+/// validation: a kTxnConflict result means the transaction was aborted and
+/// can be retried. DDL writes the shared store directly and is not undone
+/// by `abort`.
+///
 ///   Engine engine;
 ///   Session session(engine);
 ///   session.RegisterProcedure("order", ...);
@@ -53,33 +67,30 @@ class Session : public ExtentProvider {
   explicit Session(Engine& engine) : engine_(engine) {}
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
-  ~Session() override {
-    if (txn_mgr_ != nullptr) txn_mgr_->Release(txn_);
-  }
+  ~Session() override { engine_.txn.Release(txn_); }
 
   Engine& engine() { return engine_; }
 
-  /// Switches the session into concurrent-transaction mode: statements
-  /// take the manager's engine gate (shared for reads/DML, exclusive for
-  /// DDL and admin commands), DML buffers into a private snapshot overlay
-  /// instead of writing the shared store, and `commit` goes through the
-  /// group-commit queue with first-committer-wins validation — a
-  /// kTxnConflict result means the transaction was aborted and can be
-  /// retried. Without this call the session keeps the single-threaded
-  /// behavior: direct database writes and Database::Commit(). The manager
-  /// must outlive the session. The network server attaches every
-  /// connection's session to its engine's manager.
-  void AttachTransactionManager(txn::TransactionManager* mgr) {
-    txn_mgr_ = mgr;
+  /// Kept for source compatibility with callers written when sessions had
+  /// a second, direct-write commit path (the perfbench harness calls it):
+  /// every session already commits through `engine().txn`, so this does
+  /// nothing. Debug builds assert that `mgr` is that manager.
+  void AttachTransactionManager(
+      [[maybe_unused]] txn::TransactionManager* mgr) {
+    assert(mgr == &engine_.txn);
   }
-  txn::TransactionManager* transaction_manager() const { return txn_mgr_; }
 
   /// This session's transaction snapshot; last_commit describes the most
   /// recent group-commit wave that committed it (for tests and metrics).
   const TxnSnapshot& txn_snapshot() const { return txn_; }
 
+  /// Registers a procedure for this session's rule actions. Rules keep
+  /// the session's procedure table alive, not the session, and look names
+  /// up when they fire, so a procedure registered after `create rule`
+  /// still resolves. Register before other sessions can commit waves that
+  /// fire this session's rules: the table has no lock of its own.
   void RegisterProcedure(const std::string& name, Procedure proc) {
-    procedures_[name] = std::move(proc);
+    (*procedures_)[name] = std::move(proc);
   }
 
   /// Parses and executes every statement in `source`; fails fast on the
@@ -93,13 +104,6 @@ class Session : public ExtentProvider {
   Result<QueryResult> ExecuteProfiled(const std::string& source,
                                       obs::Profile* profile);
 
-  /// True once this session has successfully executed a `create rule`.
-  /// Compiled rule actions capture a pointer to the creating session (for
-  /// registered procedures), so such a session must outlive its
-  /// connection; the network server uses this to decide whether to retire
-  /// or destroy a session on disconnect.
-  bool created_rules() const { return created_rules_; }
-
   /// Session environment (interface variables, without the ':').
   Result<Value> GetInterfaceVar(const std::string& name) const;
   void SetInterfaceVar(const std::string& name, Value value) {
@@ -107,8 +111,9 @@ class Session : public ExtentProvider {
   }
 
   /// ExtentProvider: the stored relation holding all objects of `type`
-  /// created through this session (created lazily, named
-  /// "_extent_<typename>").
+  /// created through any session, named "_extent_<typename>". `create
+  /// type` creates it; a type made through the catalog directly gets it
+  /// from the first session that needs it.
   Result<RelationId> ExtentRelation(TypeId type) override;
 
  private:
@@ -141,9 +146,12 @@ class Session : public ExtentProvider {
   /// Evaluates several ground expressions.
   Result<std::vector<Value>> EvalGroundExprs(const std::vector<ExprPtr>& es);
 
+  /// The engine gate (see txn::TransactionManager).
+  std::shared_mutex& gate() { return engine_.txn.engine_mutex(); }
+
   /// StateContext for session-level evaluators: routes stored-relation
   /// reads through the transaction snapshot (overlay view + footprint
-  /// recording) when a manager is attached; plain otherwise.
+  /// recording).
   objectlog::StateContext EvalContext();
 
   /// Lazily registers the snapshot and — outside an explicit transaction,
@@ -156,20 +164,21 @@ class Session : public ExtentProvider {
   /// catalog's StatsStore so subsequent literal orderings learn from them.
   void RecordObservedStats(const obs::Profile& profile);
 
+  using ProcedureTable = std::unordered_map<std::string, Procedure>;
+
   Engine& engine_;
   std::unordered_map<std::string, Value> env_;
-  std::unordered_map<std::string, Procedure> procedures_;
+  /// Shared with the actions of the rules this session created, which may
+  /// fire after the session is gone.
+  std::shared_ptr<ProcedureTable> procedures_ =
+      std::make_shared<ProcedureTable>();
   std::unordered_map<TypeId, RelationId> extents_;
   /// Non-null while an `explain analyze` statement is executing: every
-  /// evaluator the session creates (selects, ground expressions, rule
-  /// actions) attaches to it, and the rule manager routes it through the
-  /// propagator so check-phase clauses are profiled too.
+  /// evaluator the session creates (selects, ground expressions) attaches
+  /// to it, and a commit hands it to the transaction manager, which
+  /// profiles that transaction's solo wave (check phase and rule actions).
   obs::Profile* active_profiler_ = nullptr;
-  int temp_counter_ = 0;
-  bool created_rules_ = false;
 
-  /// Concurrent-transaction mode (null = legacy single-threaded mode).
-  txn::TransactionManager* txn_mgr_ = nullptr;
   TxnSnapshot txn_;
   /// Whether txn_ has been registered with the manager yet (lazy begin).
   bool txn_started_ = false;

@@ -596,10 +596,14 @@ Result<PropagationResult> Propagator::Propagate(
     } else {
       // Level barrier: every node of the level evaluates against the same
       // frozen wave, then the outputs merge in the level's node order —
-      // the order the serial loop would have used.
+      // the order the serial loop would have used. Workers adopt this
+      // thread's trace scope, so their spans reach the same sink and
+      // carry the same trace id.
       outputs.clear();
       outputs.resize(level_nodes.size());
+      const obs::TraceScope scope = obs::CurrentTraceScope();
       pool->Run(level_nodes.size(), [&](size_t i, size_t worker) {
+        obs::ScopedTraceScope worker_scope(scope);
         outputs[i].status = ProcessNode(level_nodes[i], lvl, wave, view_map,
                                         &(*caches)[worker], &outputs[i]);
       });

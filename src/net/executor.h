@@ -1,7 +1,6 @@
 #ifndef DELTAMON_NET_EXECUTOR_H_
 #define DELTAMON_NET_EXECUTOR_H_
 
-#include <mutex>
 #include <string>
 
 #include "amosql/session.h"
@@ -10,16 +9,14 @@
 
 namespace deltamon::net {
 
-/// Statement-execution entry point for the server. Sessions attached to
-/// the engine's transaction manager (every connection) run concurrently:
-/// they synchronize at the engine gate — shared for reads and buffered
-/// DML, exclusive for DDL — and at the group-commit queue, which batches
-/// the Δ-sets of ready transactions into one deferred check phase. The
-/// executor mutex remains for two cases that still need full
-/// serialization: legacy sessions with no transaction manager (direct
-/// database writes, single-writer engine), and statements run while the
-/// slow-statement threshold is armed — capture swaps the process-global
-/// trace sink, so only one statement may emit spans at a time.
+/// Statement-execution entry point for the server. Every session commits
+/// through the engine's transaction manager, so statements of different
+/// connections run concurrently: they synchronize at the engine gate —
+/// shared for reads and buffered DML, exclusive for DDL — and at the
+/// group-commit queue, which batches the Δ-sets of ready transactions into
+/// one deferred check phase. The executor itself holds no lock: request
+/// identity and slow-statement capture live in the calling thread's trace
+/// scope (obs::TraceScope), not in process-global state.
 ///
 /// Records net.statements_served / net.statement_errors counters and the
 /// net.statement_latency_ns histogram (queue wait included — that is what
@@ -38,22 +35,19 @@ class Executor {
   /// and — when the global SlowLog threshold is armed — captures the full
   /// span tree + literal profile of over-threshold statements. Callers
   /// without a request identity (bootstrap, tests) pass nullptr and get
-  /// the plain serialized execution.
+  /// the plain execution.
   Result<amosql::QueryResult> Execute(amosql::Session& session,
                                       const std::string& source,
                                       obs::RequestRecord* record = nullptr);
 
   /// Stats-annotated Graphviz DOT of the propagation network — the same
   /// rendering `show network [rule]` produces — for the admin HTTP
-  /// /debug/network endpoint. Takes the executor mutex and then the engine
-  /// gate exclusively: the network is rebuilt lazily by statements (legacy
-  /// sessions hold the mutex, attached sessions the gate), so reading it
-  /// must serialize against both. `rule` empty = the whole network.
+  /// /debug/network endpoint. Takes the engine gate exclusively: statements
+  /// rebuild the network lazily under it. `rule` empty = the whole network.
   Result<std::string> NetworkDot(const std::string& rule);
 
  private:
   Engine& engine_;
-  std::mutex mu_;
 };
 
 }  // namespace deltamon::net

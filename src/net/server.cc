@@ -20,10 +20,10 @@ namespace {
 
 /// Registered on every connection's session so AMOSQL rule actions can
 /// `do print(...)`; output rides back to the client in the reply frame's
-/// report section. The sink is shared with the Conn (and outlives it if
-/// the session is retired — late firings then print into the void). The
-/// sink carries its own lock: a rule compiled here can fire during any
-/// connection's statement, on that connection's worker thread.
+/// report section. The sink is shared with the Conn and with the actions
+/// of rules this session creates (late firings after a disconnect print
+/// into the void). The sink carries its own lock: a rule compiled here can
+/// fire in any connection's commit wave, on that wave's leader thread.
 void RegisterPrint(amosql::Session& session,
                    std::shared_ptr<ActionSink> sink) {
   session.RegisterProcedure(
@@ -209,11 +209,6 @@ void Server::RegisterPending(Worker& w) {
     conn->parser = FrameParser(options_.max_frame_size);
     conn->last_active = std::chrono::steady_clock::now();
     conn->session = std::make_unique<amosql::Session>(engine_);
-    // Every connection runs as an optimistic transaction: snapshot reads,
-    // buffered writes, and group-committed check phases. Statements from
-    // different connections synchronize at the engine gate and the commit
-    // queue instead of the executor mutex.
-    conn->session->AttachTransactionManager(&engine_.txn);
     conn->action_output = std::make_shared<ActionSink>();
     RegisterPrint(*conn->session, conn->action_output);
     conn->interest = EPOLLIN | EPOLLET | EPOLLRDHUP;
@@ -490,13 +485,6 @@ void Server::CloseConn(Worker& w, int fd) {
   it->second->inflight.clear();
   ::epoll_ctl(w.epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
   CloseFd(fd);
-  if (it->second->session->created_rules()) {
-    // Rules compiled by this session hold a pointer to it; keep it alive
-    // for the engine's lifetime (see class comment). Rule-free sessions
-    // are referenced by nothing and die with the connection.
-    std::lock_guard<std::mutex> lock(retired_mu_);
-    retired_sessions_.push_back(std::move(it->second->session));
-  }
   w.conns.erase(it);
   DELTAMON_OBS_GAUGE_SET(
       "net.connections_active",

@@ -48,10 +48,10 @@ struct ServerOptions {
 };
 
 /// Output produced by rule-action `print` calls on behalf of one
-/// session. A rule compiled by session A can fire during *any*
-/// connection's statement — on that connection's worker thread, under
-/// the executor mutex — while A's own worker drains the buffer outside
-/// that mutex, so the string needs its own lock.
+/// session. A rule compiled by session A can fire in *any* connection's
+/// commit wave — on that wave's leader thread — while A's own worker
+/// drains the buffer, so the string needs its own lock. Rule actions hold
+/// the sink through A's procedure table, so it outlives A's connection.
 class ActionSink {
  public:
   void Append(const std::string& chunk) {
@@ -77,20 +77,17 @@ class ActionSink {
 ///    readiness, non-blocking sockets, per-connection read/write buffers
 ///    and FrameParser. A connection lives on exactly one worker, so its
 ///    Session is only ever touched by that worker's thread;
-///  - statement execution happens inline on the worker, serialized across
-///    all workers by the Executor (one statement batch at a time). Inline
-///    execution under a global executor mutex has the same throughput as
-///    a dedicated executor thread would — the engine admits one writer —
-///    without a cross-thread response handoff;
+///  - statement execution happens inline on the worker, with no server-
+///    wide lock: each connection's Session is a transaction of the
+///    engine's TransactionManager, so workers meet only at the engine gate
+///    and the group-commit queue, whose leader runs one check phase for a
+///    whole wave of commits;
 ///  - an optional admin HTTP thread (AdminServer).
 ///
-/// Sessions that created rules are referenced by those rules' compiled
-/// actions for the engine's lifetime, so closing such a connection
-/// retires its Session into a server-owned graveyard instead of
-/// destroying it (lifecycle_test covers fire-after-disconnect). Sessions
-/// that never created a rule are destroyed with their connection, so the
-/// graveyard grows with rule-creating sessions, not with every
-/// connection ever served.
+/// A connection's Session dies with the connection. Rules it created keep
+/// firing: their compiled actions own the clause and the session's
+/// procedure table, not the session (lifecycle_test covers
+/// fire-after-disconnect).
 ///
 /// Shutdown: RequestStop() is async-signal-safe (atomic store + eventfd
 /// writes); Stop()/Wait() then close the listener, let each worker finish
@@ -117,15 +114,9 @@ class Server {
   /// RequestStop() + Wait().
   void Stop();
 
-  /// Observability for tests: live connections / graveyard size. Only
-  /// sessions that created rules are retired (their compiled actions
-  /// reference the session); rule-free sessions die with the connection.
+  /// Observability for tests: live connections.
   int64_t active_connections() const {
     return active_conns_.load(std::memory_order_relaxed);
-  }
-  size_t retired_session_count() const {
-    std::lock_guard<std::mutex> lock(retired_mu_);
-    return retired_sessions_.size();
   }
 
  private:
@@ -209,10 +200,6 @@ class Server {
   std::atomic<bool> stopping_{false};
   bool started_ = false;
   bool joined_ = false;
-
-  /// Sessions of closed connections (see class comment).
-  mutable std::mutex retired_mu_;
-  std::vector<std::unique_ptr<amosql::Session>> retired_sessions_;
 };
 
 }  // namespace deltamon::net

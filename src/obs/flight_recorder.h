@@ -15,12 +15,13 @@
 ///
 /// The server mints one RequestContext per QUERY frame and stamps phase
 /// timestamps as the request moves through its life: enqueue (frame
-/// parsed), dequeue (executor mutex acquired — evaluation starts),
-/// exec end, reply queued, reply flushed to the kernel. Completed records
-/// land in a fixed-capacity FlightRecorder ring served by the admin HTTP
-/// endpoints (/debug/requests, /debug/requests/trace), and statements over
-/// the --slow-statement-ms threshold additionally capture their full span
-/// tree + literal profile into the SlowLog (/debug/slow, `show slow;`).
+/// parsed), dequeue (the executor starts the statement — evaluation
+/// starts; frames pipelined on one connection wait for the ones before
+/// them), exec end, reply queued, reply flushed to the kernel. Completed
+/// records land in a fixed-capacity FlightRecorder ring served by the admin
+/// HTTP endpoints (/debug/requests, /debug/requests/trace), and statements
+/// over the --slow-statement-ms threshold additionally capture their full
+/// span tree + literal profile into the SlowLog (/debug/slow, `show slow;`).
 ///
 /// Memory is strictly bounded: both the recorder and the slow log are
 /// rings, and every displaced entry bumps a dropped counter so truncation
@@ -65,7 +66,7 @@ struct RequestRecord {
   bool ok = true;         ///< statement executed without error
   bool reply_flushed = false;
   uint64_t enqueue_ns = 0;        ///< QUERY frame parsed
-  uint64_t dequeue_ns = 0;        ///< executor mutex acquired (eval start)
+  uint64_t dequeue_ns = 0;        ///< executor starts it (eval start)
   uint64_t exec_end_ns = 0;       ///< statement finished (eval end)
   uint64_t reply_queued_ns = 0;   ///< reply bytes appended to the out buffer
   uint64_t reply_flushed_ns = 0;  ///< last reply byte accepted by the kernel

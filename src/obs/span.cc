@@ -14,7 +14,6 @@ namespace {
 
 std::atomic<uint64_t> g_next_span_id{1};
 std::atomic<int64_t> g_next_thread_index{1};
-std::atomic<uint64_t> g_current_trace_id{0};
 
 thread_local uint64_t t_current_span = 0;
 thread_local int64_t t_thread_index = 0;
@@ -53,7 +52,7 @@ Span::Span(const char* category, std::string name) {
   id_ = g_next_span_id.fetch_add(1, std::memory_order_relaxed);
   parent_ = t_current_span;
   t_current_span = id_;
-  trace_id_ = g_current_trace_id.load(std::memory_order_relaxed);
+  trace_id_ = CurrentTraceId();
   category_ = category;
   name_ = std::move(name);
   start_ns_ = NowNs();
@@ -91,20 +90,6 @@ void Span::SetName(std::string name) {
 }
 
 uint64_t Span::CurrentId() { return t_current_span; }
-
-#if DELTAMON_OBS_ENABLED
-ScopedTraceId::ScopedTraceId(uint64_t trace_id)
-    : saved_(g_current_trace_id.exchange(trace_id,
-                                         std::memory_order_relaxed)) {}
-
-ScopedTraceId::~ScopedTraceId() {
-  g_current_trace_id.store(saved_, std::memory_order_relaxed);
-}
-
-uint64_t CurrentTraceId() {
-  return g_current_trace_id.load(std::memory_order_relaxed);
-}
-#endif
 
 bool IsSpanEvent(const TraceEvent& event) {
   bool has_id = false;

@@ -18,20 +18,20 @@ namespace deltamon::obs {
 /// A Span is an RAII wall-clock interval with parent/child nesting: the
 /// innermost live span on the current thread is the parent of any span
 /// started while it is open. On destruction the span emits one TraceEvent
-/// into the installed TraceSink, carrying its id, parent id, thread, start
-/// time and duration as integer fields — so the existing ring sink, the
-/// span-tree printer and the Chrome-trace exporter all consume the same
-/// stream.
+/// into its thread's TraceSink (see TraceScope), carrying its id, parent
+/// id, thread, start time, duration and the scope's trace id as integer
+/// fields — so the existing ring sink, the span-tree printer and the
+/// Chrome-trace exporter all consume the same stream.
 ///
 /// Cost model: when no sink is installed (the default) a span is one
-/// relaxed atomic load in the constructor and a branch in the destructor —
-/// no clock reads, no id allocation, no allocation at all. Installing a
-/// sink is the opt-in, exactly as for EmitTrace. Under
+/// thread-local read and one atomic load in the constructor and a branch
+/// in the destructor — no clock reads, no id allocation, no allocation.
+/// Installing a sink is the opt-in, exactly as for EmitTrace. Under
 /// `cmake -DDELTAMON_OBS=OFF` the DELTAMON_OBS_SPAN macro compiles spans
 /// out entirely.
 class Span {
  public:
-  /// Starts a span (active iff a trace sink is installed). `category`
+  /// Starts a span (active iff this thread has a trace sink). `category`
   /// must be a string with static storage duration; `name` is copied.
   Span(const char* category, std::string name);
   Span(const Span&) = delete;
@@ -65,39 +65,6 @@ class Span {
   std::string name_;
   std::vector<std::pair<std::string, int64_t>> fields_;
 };
-
-/// --- Request trace-id propagation ------------------------------------------
-///
-/// The trace id of the request currently executing, installed by the
-/// network executor around each statement. Process-global (one relaxed
-/// atomic), not thread-local: the executor serializes statements, but a
-/// statement's propagation wave runs on pool worker threads whose spans
-/// must carry the same id. Active spans read it at construction and attach
-/// it as a `trace_id` field when nonzero, so the whole span tree of a
-/// statement — check phase, waves, clause evaluations — links back to the
-/// request record in the flight recorder. Compiled out (no atomic, no
-/// field) under -DDELTAMON_OBS=OFF.
-#if DELTAMON_OBS_ENABLED
-class ScopedTraceId {
- public:
-  explicit ScopedTraceId(uint64_t trace_id);
-  ~ScopedTraceId();
-  ScopedTraceId(const ScopedTraceId&) = delete;
-  ScopedTraceId& operator=(const ScopedTraceId&) = delete;
-
- private:
-  uint64_t saved_;
-};
-
-/// 0 when no request is executing.
-uint64_t CurrentTraceId();
-#else
-class ScopedTraceId {
- public:
-  explicit ScopedTraceId(uint64_t) {}
-};
-inline uint64_t CurrentTraceId() { return 0; }
-#endif
 
 /// No-op stand-in used by DELTAMON_OBS_SPAN when instrumentation is
 /// compiled out; keeps call sites (AddField/SetName/active) compiling.

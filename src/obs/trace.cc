@@ -8,6 +8,7 @@ namespace deltamon::obs {
 
 namespace {
 std::atomic<TraceSink*> g_sink{nullptr};
+thread_local TraceScope t_scope;
 }  // namespace
 
 std::string TraceEvent::ToString() const {
@@ -40,7 +41,19 @@ void SetTraceSink(TraceSink* sink) {
   g_sink.store(sink, std::memory_order_release);
 }
 
-TraceSink* GetTraceSink() { return g_sink.load(std::memory_order_acquire); }
+TraceSink* GetTraceSink() {
+  TraceSink* scoped = t_scope.sink;
+  return scoped != nullptr ? scoped : g_sink.load(std::memory_order_acquire);
+}
+
+TraceScope CurrentTraceScope() { return t_scope; }
+
+ScopedTraceScope::ScopedTraceScope(const TraceScope& scope)
+    : saved_(t_scope) {
+  t_scope = scope;
+}
+
+ScopedTraceScope::~ScopedTraceScope() { t_scope = saved_; }
 
 void EmitTrace(const TraceEvent& event) {
   TraceSink* sink = GetTraceSink();

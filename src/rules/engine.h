@@ -19,10 +19,13 @@ namespace deltamon {
 ///   ... updates ...
 ///   engine.db.Commit();   // deferred check phase runs here
 ///
-/// Single-threaded programs can keep using the database directly, exactly
-/// as above; `txn` only participates when sessions attach to it (the
-/// network server does), giving each session an optimistic transaction
-/// with snapshot reads and group-committed check phases.
+/// Database::Commit is the engine primitive: in-process programs that own
+/// the engine alone (the paper benches) may drive it directly, as above,
+/// and `txn` runs the same deferred check phase once per commit wave. Every
+/// amosql::Session commits through `txn` — one optimistic transaction per
+/// session, with snapshot reads and group-committed check phases. Direct
+/// writes bypass the sessions' snapshots and conflict validation, so make
+/// them only while no session has a transaction in flight.
 struct Engine {
   Engine() : rules(db, registry), txn(db, rules) {}
   Engine(const Engine&) = delete;

@@ -118,7 +118,8 @@ class BaseRelation {
   /// relation (0 = never written by a versioned commit). Stamped by the
   /// transaction manager's commit leader under the exclusive engine lock
   /// and read by validation under the same lock, so a plain field
-  /// suffices; legacy single-session paths never touch it.
+  /// suffices; a bare Database::Commit (the paper benches) never
+  /// touches it.
   uint64_t last_commit_version() const { return last_commit_version_; }
   void set_last_commit_version(uint64_t v) { last_commit_version_ = v; }
 

@@ -35,6 +35,7 @@ Status TransactionManager::Commit(TxnSnapshot& txn, obs::Profile* profiler) {
   Waiter w;
   w.txn = &txn;
   w.profiler = profiler;
+  w.scope = obs::CurrentTraceScope();
   w.enqueue_ns = NowNs();
 
   std::unique_lock<std::mutex> lk(qmu_);
@@ -66,12 +67,13 @@ std::vector<TransactionManager::Waiter*> TransactionManager::TakeBatchLocked() {
   std::vector<Waiter*> batch;
   while (!queue_.empty() && batch.size() < max_batch_) {
     Waiter* w = queue_.front();
-    // Profiled commits run solo: the per-literal profile must describe one
-    // transaction's check phase, not a shared wave.
-    if (w->profiler != nullptr && !batch.empty()) break;
+    // Profiled and privately traced commits run solo: the per-literal
+    // profile and the span ring must describe one transaction's check
+    // phase, not a shared wave.
+    if (w->solo() && !batch.empty()) break;
     queue_.pop_front();
     batch.push_back(w);
-    if (w->profiler != nullptr) break;
+    if (w->solo()) break;
   }
   return batch;
 }
@@ -116,8 +118,13 @@ void TransactionManager::CommitBatch(const std::vector<Waiter*>& batch) {
 
     // 3. ONE deferred check phase over the unioned Δ-sets of the wave.
     if (wave.ok()) {
-      obs::Profile* profiler =
-          batch.size() == 1 ? batch.front()->profiler : nullptr;
+      // A one-transaction wave runs under its statement's profiler and
+      // trace scope. A group wave serves several requests, so it runs with
+      // neither, whatever the leader's own statement has installed.
+      const Waiter* solo = batch.size() == 1 ? batch.front() : nullptr;
+      obs::Profile* profiler = solo != nullptr ? solo->profiler : nullptr;
+      obs::ScopedTraceScope trace_scope(solo != nullptr ? solo->scope
+                                                        : obs::TraceScope{});
       if (profiler != nullptr) rules_.SetProfiler(profiler);
       // Versions were pre-assigned during validation, so the wave's last
       // version is already known: stamp it on the rule manager (same

@@ -12,6 +12,7 @@
 
 #include "common/status.h"
 #include "obs/profile.h"
+#include "obs/trace.h"
 #include "rules/rule_manager.h"
 #include "storage/database.h"
 #include "storage/snapshot.h"
@@ -88,8 +89,10 @@ class TransactionManager {
   /// kTxnConflict (retryable: the overlay was discarded, the snapshot
   /// re-registered at the current version), or the check phase's own error
   /// (non-retryable; the whole wave was rolled back). Must be called
-  /// WITHOUT the engine gate held. A non-null `profiler` forces a
-  /// batch-of-one so per-literal profiles never interleave waves.
+  /// WITHOUT the engine gate held. The wave carries the calling thread's
+  /// trace scope. A non-null `profiler`, or a private sink in that scope,
+  /// forces a batch-of-one, so per-literal profiles and captured span
+  /// rings never mix two statements' waves.
   Status Commit(TxnSnapshot& txn, obs::Profile* profiler = nullptr);
 
   /// --- Test hooks --------------------------------------------------------
@@ -107,9 +110,14 @@ class TransactionManager {
   struct Waiter {
     TxnSnapshot* txn = nullptr;
     obs::Profile* profiler = nullptr;
+    /// The committing statement's trace scope (sink + trace id).
+    obs::TraceScope scope;
     uint64_t enqueue_ns = 0;
     Status result = Status::OK();
     bool done = false;
+
+    /// Profiled or privately traced commits run alone in their wave.
+    bool solo() const { return profiler != nullptr || scope.sink != nullptr; }
   };
 
   /// What one committed transaction (or one wave's rule actions) wrote,
@@ -120,7 +128,7 @@ class TransactionManager {
   };
 
   /// Pops the next wave off the queue front: up to max_batch_ waiters,
-  /// with profiled commits always alone in their wave. Requires qmu_.
+  /// with solo() commits always alone in their wave. Requires qmu_.
   std::vector<Waiter*> TakeBatchLocked();
 
   /// Runs one wave (steps 1–4 of the class comment) under the exclusive

@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <functional>
 #include <string>
+#include <thread>
 
 #include "amosql/session.h"
 #include "obs/flight_recorder.h"
@@ -161,6 +164,102 @@ TEST_F(ProfileTest, TraceRestoresThePreviousSinkAndPropagatesErrors) {
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(obs::GetTraceSink(), nullptr)
       << "a failing traced statement must still uninstall its sink";
+}
+
+TEST_F(ProfileTest, TraceFollowsTheWaveOntoPoolWorkers) {
+  if (!DELTAMON_OBS_ENABLED) GTEST_SKIP() << "spans are compiled out";
+  // Eight conditions share one network level, so with four threads the
+  // propagation pool evaluates them in parallel. Pool workers adopt the
+  // committing thread's trace scope, so every node's span reaches the
+  // traced statement's ring, whichever thread evaluated it.
+  std::string ddl;
+  for (int r = 0; r < 8; ++r) {
+    const std::string name = "watch" + std::to_string(r);
+    ddl += "create rule " + name + "() as when for each item i where"
+           " quantity(i) < " + std::to_string(-r) +
+           " do set quantity(i) = 0; activate " + name + "();";
+  }
+  std::string items = "create item instances :i0";
+  std::string updates;
+  for (int i = 1; i < 1000; ++i) items += ", :i" + std::to_string(i);
+  for (int i = 0; i < 1000; ++i) {
+    updates += "set quantity(:i" + std::to_string(i) + ") = " +
+               std::to_string(50 + i) + ";";
+  }
+  Report(ddl + items + ";" + updates + "commit; set threads 4;");
+  updates.clear();
+  for (int i = 0; i < 1000; ++i) {
+    updates += "set quantity(:i" + std::to_string(i) + ") = " +
+               std::to_string(60 + i) + ";";
+  }
+  const std::string report =
+      Report(updates + "trace \"" + ::testing::TempDir() +
+             "/profile_test_pool_trace.json\" commit;");
+  for (int r = 0; r < 8; ++r) {
+    EXPECT_NE(report.find("propagation.node:cnd_watch" + std::to_string(r) +
+                          " "),
+              std::string::npos)
+        << "watch" << r << "\n"
+        << report;
+  }
+}
+
+/// Occurrences of `needle` in `text`.
+size_t CountOf(const std::string& text, const std::string& needle) {
+  size_t n = 0;
+  for (size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
+TEST_F(ProfileTest, ConcurrentTracesKeepTheirOwnSpans) {
+  // `trace` installs its ring in the calling thread's trace scope, so two
+  // sessions tracing at once never record into each other's ring, and no
+  // ring is left installed process-wide once both are done. A traced
+  // commit runs alone in its wave: the commit queue is held until both
+  // commits wait in it, and they must still not share one wave.
+  Session first(engine_);
+  Session second(engine_);
+  ASSERT_TRUE(first.Execute("create item instances :mine;").ok());
+  ASSERT_TRUE(second.Execute("create item instances :mine;").ok());
+  auto traced = [](Session& session, int id, int round) {
+    const std::string trace = "trace \"" + ::testing::TempDir() +
+                              "/profile_test_trace_" + std::to_string(id) +
+                              ".json\" ";
+    auto select = session.Execute(trace + "select quantity(:mine);");
+    ASSERT_TRUE(select.ok()) << select.status();
+    // A select runs no check phase.
+    EXPECT_EQ(CountOf(select->report, "rules.check_phase "), 0u)
+        << select->report;
+    auto commit = session.Execute("set quantity(:mine) = " +
+                                  std::to_string(20 + round) + ";" + trace +
+                                  "commit;");
+    ASSERT_TRUE(commit.ok()) << commit.status();
+    // A commit runs exactly one. (Spans are compiled out under
+    // DELTAMON_OBS=OFF.)
+    EXPECT_EQ(CountOf(commit->report, "rules.check_phase "),
+              DELTAMON_OBS_ENABLED ? 1u : 0u)
+        << commit->report;
+  };
+  for (int round = 0; round < 10; ++round) {
+    engine_.txn.SetCommitPaused(true);
+    std::thread a(traced, std::ref(first), 1, round);
+    std::thread b(traced, std::ref(second), 2, round);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (engine_.txn.queued_commits() < 2 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const size_t queued = engine_.txn.queued_commits();
+    engine_.txn.SetCommitPaused(false);
+    a.join();
+    b.join();
+    ASSERT_EQ(queued, 2u) << "both commits must wait in the queue";
+  }
+  EXPECT_EQ(obs::GetTraceSink(), nullptr);
 }
 
 TEST_F(ProfileTest, ShowSlowRendersTheGlobalSlowLog) {

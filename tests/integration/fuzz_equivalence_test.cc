@@ -546,8 +546,8 @@ constexpr const char* kConcSchema =
     "activate low_stock();";
 
 /// One engine + bootstrap session with a thread-safe firing log. The
-/// bootstrap session stays legacy (direct writes), like deltamond's
-/// --init path; worker sessions attach to the engine's manager.
+/// bootstrap session plays deltamond's --init path; worker sessions
+/// commit through the same manager concurrently.
 class ConcHarness {
  public:
   ConcHarness() {
@@ -625,7 +625,6 @@ TEST_P(ConcurrentTxnFuzzTest, CommittedHistoryEqualsSerialReplay) {
     workers.emplace_back([&, t] {
       std::mt19937 rng(config.seed * 131 + static_cast<uint32_t>(t));
       amosql::Session session(live.engine_);
-      session.AttachTransactionManager(&live.engine_.txn);
       for (int tx = 0; tx < 6; ++tx) {
         std::string ops;
         const int n = 1 + static_cast<int>(rng() % 4);
@@ -674,7 +673,7 @@ TEST_P(ConcurrentTxnFuzzTest, CommittedHistoryEqualsSerialReplay) {
   }
 
   // Batch-faithful serial replay: transactions in commit order, one
-  // legacy commit (= one deferred check phase) per commit wave — exactly
+  // serial commit (= one deferred check phase) per commit wave — exactly
   // the Δ-union the group leader propagated.
   ConcHarness replay;
   for (size_t i = 0; i < committed.size();) {
@@ -868,9 +867,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LineageDeterminismTest,
 std::string CanonicalFirings(const std::vector<obs::FiringRecord>& records) {
   std::string out;
   for (const obs::FiringRecord& r : records) {
-    // Identity stamps (seq is deterministic here, trace/version are 0 in
-    // legacy mode) are skipped anyway: the determinism claim is about the
-    // firing content and its lineage.
+    // Identity stamps (seq, trace id, commit version) are skipped: the
+    // determinism claim is about the firing content and its lineage.
     out += r.rule + " round " + std::to_string(r.round) + "\n";
     for (const std::string& i : r.instances) out += "  " + i + "\n";
     out += r.lineage.Dump();

@@ -226,10 +226,10 @@ TEST_F(ServerFixture, IdleConnectionsAreReaped) {
 }
 
 TEST_F(ServerFixture, RuleFiresAfterItsSessionDisconnected) {
-  // A rule's compiled action references the Session that created it (for
-  // registered procedures like `print`). Closing that connection must not
-  // free state the rule still needs — the server retires the session
-  // instead. Run under ASan this is the use-after-free probe.
+  // A rule's compiled action calls registered procedures like `print` of
+  // the Session that created it. The session dies with its connection;
+  // the action owns the procedure table, so the rule must still fire. Run
+  // under ASan this is the use-after-free probe.
   ServerOptions options;
   options.enable_admin = false;
   StartServer(options);
@@ -245,7 +245,16 @@ TEST_F(ServerFixture, RuleFiresAfterItsSessionDisconnected) {
         "  do print(i);"
         "activate watch();");
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-  }  // creator disconnects; its session is retired, not destroyed
+  }  // creator disconnects; its session is destroyed
+  // Disconnects are processed asynchronously by the workers: wait until
+  // the creator's session is really gone before its rule fires.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server_->active_connections() > 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(server_->active_connections(), 0);
 
   Result<Client> writer = Client::Connect("127.0.0.1", server_->port());
   ASSERT_TRUE(writer.ok());
@@ -285,11 +294,11 @@ TEST_F(ServerFixture, PrintOutputReachesTheIssuingConnection) {
 }
 
 TEST_F(ServerFixture, ConcurrentRuleFiringAndSinkDrainIsRaceFree) {
-  // The creator's rule can fire during *another* connection's statement
-  // (on that connection's worker, under the executor mutex), appending to
-  // the creator's print sink — while the creator's own worker drains the
-  // sink after its statement returns, outside that mutex. Run under TSan
-  // this is the data-race probe for the ActionSink lock.
+  // The creator's rule can fire in *another* connection's commit wave (on
+  // that wave's leader thread), appending to the creator's print sink —
+  // while the creator's own worker drains the sink after its statement
+  // returns. Run under TSan this is the data-race probe for the ActionSink
+  // lock.
   ServerOptions options;
   options.enable_admin = false;
   options.num_workers = 2;
@@ -435,47 +444,6 @@ TEST_F(ServerFixture, BackpressurePausesWithoutLosingReplies) {
     if (frame->type != FrameType::kMore) break;
   }
   EXPECT_NE(last.find("net.backpressure_paused"), std::string::npos) << last;
-  server_->Stop();
-}
-
-TEST_F(ServerFixture, OnlyRuleCreatingSessionsAreRetired) {
-  // The graveyard must grow with rule-creating sessions, not with every
-  // connection ever served.
-  ServerOptions options;
-  options.enable_admin = false;
-  StartServer(options);
-
-  for (int i = 0; i < 5; ++i) {
-    Result<Client> c = Client::Connect("127.0.0.1", server_->port());
-    ASSERT_TRUE(c.ok());
-    ASSERT_TRUE(c->Execute("commit;").ok());
-  }
-  // Disconnects are processed asynchronously by the workers.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (server_->active_connections() > 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  ASSERT_EQ(server_->active_connections(), 0);
-  EXPECT_EQ(server_->retired_session_count(), 0u)
-      << "rule-free sessions must be destroyed, not retired";
-
-  {
-    Result<Client> creator = Client::Connect("127.0.0.1", server_->port());
-    ASSERT_TRUE(creator.ok());
-    ASSERT_TRUE(creator
-                    ->Execute("create function q(integer) -> integer;"
-                              "create rule keepme() as"
-                              "  when for each integer i where q(i) < 0"
-                              "  do print(i);")
-                    .ok());
-  }
-  while (std::chrono::steady_clock::now() < deadline &&
-         server_->retired_session_count() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_EQ(server_->retired_session_count(), 1u);
   server_->Stop();
 }
 

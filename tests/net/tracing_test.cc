@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -344,6 +345,95 @@ TEST_F(TracingFixture, SlowStatementCapturesSpanTreeAndProfile) {
       << show->report;
   EXPECT_NE(show->report.find("rules.check_phase"), std::string::npos)
       << show->report;
+}
+
+/// Occurrences of `needle` in `text`.
+size_t CountOf(const std::string& text, const std::string& needle) {
+  size_t n = 0;
+  for (size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
+TEST_F(TracingFixture, ConcurrentSlowCapturesKeepTheirOwnSpans) {
+  if (!obs::kRequestTracingEnabled) {
+    GTEST_SKIP() << "request tracing is compiled out";
+  }
+  ServerOptions options;
+  options.enable_admin = false;
+  options.num_workers = 2;
+  StartServer(options);
+  {
+    Result<Client> setup = Connect();
+    ASSERT_TRUE(setup.ok());
+    ASSERT_TRUE(setup
+                    ->Execute("create function quantity(integer) -> integer;"
+                              "create rule watch_low() as"
+                              "  when for each integer i where quantity(i) < 10"
+                              "  do set quantity(i) = 10;"
+                              "activate watch_low();")
+                    .ok());
+  }
+  // Everything is "slow" at a 1ns threshold.
+  obs::SlowLog::Global().set_threshold_ns(1);
+
+  // Two connections commit at once. Each statement's spans go to its own
+  // private ring, and each captured commit runs alone in its wave. The
+  // commit queue is held until both commits wait in it, so one leader runs
+  // both waves; in about half the rounds it runs the other connection's
+  // wave first, which must still land in that connection's ring.
+  constexpr int kRounds = 12;  // 24 records fit the 32-entry log
+  Result<Client> first = Connect();
+  Result<Client> second = Connect();
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  auto commit = [](Client& c, int key, int value) {
+    Result<Client::Response> r =
+        c.Execute("set quantity(" + std::to_string(key) + ") = " +
+                  std::to_string(value) + "; commit;");
+    EXPECT_TRUE(r.ok()) << r.status();
+  };
+  for (int round = 0; round < kRounds; ++round) {
+    const int value = round % 2 == 0 ? 5 : 50;
+    engine_.txn.SetCommitPaused(true);
+    std::thread a(commit, std::ref(*first), 100 + round, value);
+    std::thread b(commit, std::ref(*second), 200 + round, value);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (engine_.txn.queued_commits() < 2 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const size_t queued = engine_.txn.queued_commits();
+    engine_.txn.SetCommitPaused(false);
+    a.join();
+    b.join();
+    ASSERT_EQ(queued, 2u) << "both commits must wait in the queue";
+  }
+
+  std::set<uint64_t> connections;
+  size_t commits = 0;
+  for (const obs::SlowRecord& slow : obs::SlowLog::Global().Snapshot()) {
+    if (slow.statement.find("commit;") == std::string::npos) continue;
+    ++commits;
+    connections.insert(slow.context.connection_id);
+    const std::string& tree = slow.span_tree;
+    EXPECT_EQ(CountOf(tree, "amosql.statement "), 1u) << tree;
+    EXPECT_EQ(CountOf(tree, "rules.check_phase "), 1u) << tree;
+    EXPECT_NE(tree.find("connection=" +
+                        std::to_string(slow.context.connection_id) + ","),
+              std::string::npos)
+        << tree;
+    // Every span in the ring carries this statement's trace id.
+    EXPECT_EQ(CountOf(tree, "trace_id="),
+              CountOf(tree, "trace_id=" +
+                                std::to_string(slow.context.trace_id)))
+        << tree;
+  }
+  EXPECT_EQ(commits, 2u * kRounds);
+  EXPECT_EQ(connections.size(), 2u);
 }
 
 TEST_F(TracingFixture, DebugNetworkServesDotForActiveRules) {

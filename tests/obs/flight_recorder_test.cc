@@ -2,7 +2,7 @@
 /// RequestRecord, the bounded FlightRecorder ring with its non-silent
 /// dropped counter, the /debug/requests and Chrome-trace JSON documents,
 /// the SlowLog ring + report formatter, and (when obs is compiled in)
-/// ScopedTraceId stamping every span with the current trace id.
+/// the thread-scoped trace id (ScopedTraceScope) stamping every span.
 
 #include "obs/flight_recorder.h"
 
@@ -262,10 +262,10 @@ TEST(SlowLogTest, OverflowEvictsOldestAndCountsDrops) {
 TEST(ScopedTraceIdTest, NestsAndRestores) {
   EXPECT_EQ(CurrentTraceId(), 0u);
   {
-    ScopedTraceId outer(41);
+    ScopedTraceScope outer(TraceScope{.trace_id = 41});
     EXPECT_EQ(CurrentTraceId(), 41u);
     {
-      ScopedTraceId inner(42);
+      ScopedTraceScope inner(TraceScope{.trace_id = 42});
       EXPECT_EQ(CurrentTraceId(), 42u);
     }
     EXPECT_EQ(CurrentTraceId(), 41u);
@@ -279,7 +279,7 @@ TEST(ScopedTraceIdTest, SpansInheritTheCurrentTraceId) {
   SetTraceSink(&ring);
   SetEnabled(true);
   {
-    ScopedTraceId scope(1234);
+    ScopedTraceScope scope(TraceScope{.trace_id = 1234});
     Span traced("net", "statement");
   }
   { Span untraced("net", "idle"); }

@@ -54,7 +54,6 @@ class GroupCommitTest : public ::testing::Test {
     for (int key : keys) {
       threads.emplace_back([this, key, value] {
         amosql::Session session(engine_);
-        session.AttachTransactionManager(&engine_.txn);
         auto r = session.Execute("set stock(" + std::to_string(key) +
                                  ") = " + std::to_string(value) + "; commit;");
         EXPECT_TRUE(r.ok()) << r.status().ToString();
@@ -170,7 +169,6 @@ TEST_F(GroupCommitTest, BatchMembersShareTheWaveStamp) {
   for (int key = 0; key < 3; ++key) {
     threads.emplace_back([&, key] {
       amosql::Session session(engine_);
-      session.AttachTransactionManager(&engine_.txn);
       auto r = session.Execute("set stock(" + std::to_string(key) +
                                ") = 7; commit;");
       EXPECT_TRUE(r.ok()) << r.status().ToString();

@@ -1,11 +1,17 @@
 /// Per-session transaction basics over the AMOSQL surface: snapshot
 /// overlays (read-your-writes, isolation of buffered DML), begin/commit/
 /// abort statements, autocommit snapshot refresh, the read-only commit
-/// fast path, and the CommitInfo a committed wave stamps on the session.
+/// fast path and its counter, DDL riding commit waves, and the CommitInfo
+/// a committed wave stamps on the session.
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "amosql/session.h"
+#include "obs/metrics.h"
 
 namespace deltamon {
 namespace {
@@ -13,8 +19,6 @@ namespace {
 class TransactionTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    s1_.AttachTransactionManager(&engine_.txn);
-    s2_.AttachTransactionManager(&engine_.txn);
     auto r = s1_.Execute(
         "create function stock(integer) -> integer;"
         "set stock(1) = 10;"
@@ -120,12 +124,116 @@ TEST_F(TransactionTest, DdlRidesTheNextCommitWave) {
   EXPECT_EQ(r->rows[0][0], Value(5));
 }
 
-TEST_F(TransactionTest, LegacySessionStillWorksAlongside) {
-  // A session never attached keeps the single-threaded behavior; it is
-  // only safe serially, which a test is.
-  amosql::Session legacy(engine_);
-  ASSERT_TRUE(legacy.Execute("set stock(9) = 90; commit;").status().ok());
+TEST_F(TransactionTest, EverySessionCommitsThroughTheManager) {
+  // There is one commit path: a session fresh off its constructor commits
+  // through the engine's group-commit queue like every other session.
+  amosql::Session fresh(engine_);
+  ASSERT_TRUE(Exec(fresh, "set stock(9) = 90; commit;").ok());
+  EXPECT_GT(fresh.txn_snapshot().last_commit.batch_id, 0u);
   EXPECT_EQ(Stock(s1_, 9), 90);
+}
+
+TEST_F(TransactionTest, SessionsShareTypeExtents) {
+  // The extent of a type belongs to the engine, not to the session that
+  // first created objects of it: a later session (a reconnected client)
+  // sees those objects and adds its own.
+  ASSERT_TRUE(Exec(s1_,
+                   "create type item;"
+                   "create item instances :a;"
+                   "commit;")
+                  .ok());
+  ASSERT_TRUE(Exec(s2_, "create item instances :b; commit;").ok());
+  auto r = s2_.Execute("select i for each item i;");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->rows.size(), 2u);
+}
+
+TEST_F(TransactionTest, ConcurrentFirstSelectsOverANewTypeAreSafe) {
+  // `create type` creates the type's extent under the exclusive gate, so a
+  // session whose first statement ranges over the type, holding the gate
+  // only shared, just looks the extent up while other sessions read the
+  // catalog. Run under TSan this is the probe for the catalog insert such
+  // sessions used to race on.
+  ASSERT_TRUE(
+      Exec(s1_, "create type thing; create function w(thing) -> integer;")
+          .ok());
+  std::thread first([this] {
+    auto r = s2_.Execute("select t for each thing t;");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(r->rows.empty());
+  });
+  std::thread second([this] {
+    amosql::Session session(engine_);
+    for (int i = 0; i < 200; ++i) {
+      auto r = session.Execute("select w(t) for each thing t;");
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+    }
+  });
+  first.join();
+  second.join();
+}
+
+TEST_F(TransactionTest, DdlOnlyCommitOnAFreshSessionIsNotSkipped) {
+  // `create ... instances` writes the store directly. A commit right after
+  // it must publish those writes even when nothing was buffered and the
+  // session never began a transaction; left uncommitted, another
+  // session's failed wave would roll them back.
+  ASSERT_TRUE(Exec(s1_,
+                   "create type item;"
+                   "create function qty(item) -> integer;"
+                   "create rule broken() as"
+                   "  when for each item i where qty(i) < 0"
+                   "  do missing_proc(i);"
+                   "activate broken();")
+                  .ok());
+  amosql::Session fresh(engine_);
+  const obs::MetricsSnapshot before = obs::Registry::Global().Snapshot();
+  ASSERT_TRUE(Exec(fresh, "create item instances :a; commit;").ok());
+  if (DELTAMON_OBS_ENABLED) {
+    EXPECT_EQ(obs::Registry::Global().Snapshot().DiffSince(before).CounterOr(
+                  "txn.commits", 0),
+              1u);
+  }
+
+  // The rule's action calls an unregistered procedure, so this wave's
+  // check phase fails and the wave is rolled back.
+  amosql::Session other(engine_);
+  Status failed =
+      Exec(other, "create item instances :b; set qty(:b) = -1; commit;");
+  EXPECT_EQ(failed.code(), StatusCode::kNotFound) << failed.ToString();
+
+  auto r = fresh.Execute("select i for each item i;");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->rows.size(), 1u);
+  EXPECT_EQ(r->rows[0][0], *fresh.GetInterfaceVar("a"));
+}
+
+TEST_F(TransactionTest, EveryCommitIsCountedQueuedOrFastPath) {
+  if (!DELTAMON_OBS_ENABLED) GTEST_SKIP() << "metrics are compiled out";
+  // Each `commit;` either goes through the queue (txn.commits) or takes
+  // the read-only / no-op-overlay fast path (txn.commits.fastpath).
+  amosql::Session fresh(engine_);
+  const std::vector<std::string> batches = {
+      "commit;",                              // fresh session: fast path
+      "set stock(1) = 11; commit;",           // real write: queued
+      "select stock(1); commit;",             // read-only: fast path
+      "set stock(1) = 11; commit;",           // no-op overlay: fast path
+      "begin; commit;",                       // empty transaction: fast path
+      "create type thing;"
+      "create thing instances :t; commit;",   // DDL writes: queued
+      "set stock(2) = 22; commit; commit;",   // queued, then fast path
+  };
+  const obs::MetricsSnapshot before = obs::Registry::Global().Snapshot();
+  for (const std::string& batch : batches) {
+    ASSERT_TRUE(Exec(fresh, batch).ok()) << batch;
+  }
+  const obs::MetricsSnapshot diff =
+      obs::Registry::Global().Snapshot().DiffSince(before);
+  const uint64_t queued = diff.CounterOr("txn.commits", 0);
+  const uint64_t fastpath = diff.CounterOr("txn.commits.fastpath", 0);
+  EXPECT_EQ(queued, 3u);
+  EXPECT_EQ(fastpath, 5u);
+  EXPECT_EQ(queued + fastpath, 8u) << "one count per commit statement";
 }
 
 }  // namespace

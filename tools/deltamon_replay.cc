@@ -91,6 +91,13 @@ int main(int argc, char** argv) {
                  init.status().ToString().c_str());
     return 1;
   }
+  // Updates buffer in the session until `commit;`; a script that ends
+  // without one would silently drop them.
+  if (session.txn_snapshot().HasWrites()) {
+    std::fprintf(stderr, "deltamon-replay: init script ends with uncommitted "
+                         "updates; finish it with `commit;`\n");
+    return 1;
+  }
 
   if (threads >= 0) {
     engine.rules.SetNumThreads(static_cast<size_t>(threads));

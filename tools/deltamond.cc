@@ -160,6 +160,13 @@ int main(int argc, char** argv) {
                    r.status().ToString().c_str());
       return 1;
     }
+    // Updates buffer in the session until `commit;`; a script that ends
+    // without one would silently drop them.
+    if (bootstrap.txn_snapshot().HasWrites()) {
+      std::fprintf(stderr, "deltamond: init script ends with uncommitted "
+                           "updates; finish it with `commit;`\n");
+      return 1;
+    }
   }
 
   net::Server server(engine, options);
