@@ -78,14 +78,14 @@ BENCHMARK(BM_SpanNoSink);
 void BM_SpanRingSink(benchmark::State& state) {
   // The enabled path `trace <stmt>;` pays per span: id allocation, two
   // clock reads, building and emitting the TraceEvent into the ring.
-  obs::RingTraceSink ring(4096);
+  obs::Ring<obs::TraceEvent> ring(4096);
   obs::SetTraceSink(&ring);
   for (auto _ : state) {
     DELTAMON_OBS_SPAN(span, "bench", "obs_overhead");
     span.AddField("value", 1);
   }
   obs::SetTraceSink(nullptr);
-  state.counters["dropped"] = static_cast<double>(ring.dropped_events());
+  state.counters["dropped"] = static_cast<double>(ring.Snapshot().dropped);
 }
 BENCHMARK(BM_SpanRingSink);
 

@@ -265,8 +265,7 @@ Status Session::ExecStatement(const Statement& stmt, QueryResult* last) {
                           "\n";
           last->report +=
               "  slow_ms " +
-              std::to_string(obs::SlowLog::Global().threshold_ns() /
-                             1000000) +
+              std::to_string(obs::SlowThresholdNs() / 1000000) +
               "\n";
           last->report += std::string("  provenance ") +
                           (engine_.rules.provenance_enabled() ? "on" : "off") +
@@ -278,8 +277,8 @@ Status Session::ExecStatement(const Statement& stmt, QueryResult* last) {
         } else if constexpr (std::is_same_v<T, SetSlowMsStmt>) {
           // Works in OBS=OFF builds too: the slow log is server plumbing,
           // not a metrics-layer twin.
-          obs::SlowLog::Global().set_threshold_ns(
-              static_cast<uint64_t>(node.slow_ms) * 1000000ull);
+          obs::SetSlowThresholdNs(static_cast<uint64_t>(node.slow_ms) *
+                                  1000000ull);
           last->report += "SLOW_MS " + std::to_string(node.slow_ms) + "\n";
           return Status::OK();
         } else if constexpr (std::is_same_v<T, SetProvenanceStmt>) {
@@ -488,7 +487,7 @@ Status Session::ExecTrace(const TraceStmt& stmt, QueryResult* last) {
   // statement and restored afterwards, and statements running on other
   // threads never see the ring. Pool workers and a solo commit wave run
   // by another session's leader inherit the scope.
-  obs::RingTraceSink ring(/*capacity=*/65536);
+  obs::Ring<obs::TraceEvent> ring(/*capacity=*/65536);
   Status status;
   {
     obs::TraceScope scope = obs::CurrentTraceScope();
@@ -500,14 +499,14 @@ Status Session::ExecTrace(const TraceStmt& stmt, QueryResult* last) {
 
   const std::string path =
       stmt.path.empty() ? std::string("deltamon_trace.json") : stmt.path;
-  DELTAMON_RETURN_IF_ERROR(obs::WriteChromeTrace(ring.events(), path));
+  const obs::RingView<obs::TraceEvent> spans = ring.Snapshot();
+  DELTAMON_RETURN_IF_ERROR(obs::WriteChromeTrace(spans.items, path));
   last->report += "TRACE " + path + "\n";
-  if (ring.dropped_events() > 0) {
-    last->report += "(ring overflow: " +
-                    std::to_string(ring.dropped_events()) +
+  if (spans.dropped > 0) {
+    last->report += "(ring overflow: " + std::to_string(spans.dropped) +
                     " events dropped)\n";
   }
-  last->report += obs::FormatSpanTree(ring.events());
+  last->report += obs::FormatSpanTree(spans.items);
   return Status::OK();
 }
 
@@ -548,16 +547,15 @@ Status Session::ExecShowNetwork(const ShowNetworkStmt& stmt,
 }
 
 Status Session::ExecShowSlow(QueryResult* last) {
-  last->report += obs::SlowLog::Global().Format();
+  last->report += obs::FormatSlowLog(obs::GlobalSlowLog().Snapshot(),
+                                     obs::SlowThresholdNs());
   return Status::OK();
 }
 
 Status Session::ExecShowProvenance(QueryResult* last) {
   if (!DELTAMON_OBS_ENABLED) return ObsDisabled("show provenance");
-  const auto& log = obs::GlobalProvenanceLog();
-  last->report += obs::FormatProvenance(log.Snapshot(), log.enabled(),
-                                        log.total_records(),
-                                        log.dropped_records());
+  last->report += obs::FormatProvenance(
+      obs::GlobalProvenanceLog().Snapshot(), obs::ProvenanceEnabled());
   return Status::OK();
 }
 
@@ -570,8 +568,8 @@ Status Session::ExecExplainFiring(const ExplainFiringStmt& stmt,
     std::shared_lock lock(gate());
     DELTAMON_RETURN_IF_ERROR(engine_.rules.FindRule(stmt.rule).status());
   }
-  const auto& log = obs::GlobalProvenanceLog();
-  const std::vector<obs::FiringRecord> records = log.Snapshot();
+  const std::vector<obs::FiringRecord> records =
+      obs::GlobalProvenanceLog().Snapshot().items;
   const obs::FiringRecord* hit = nullptr;
   int64_t remaining = stmt.nth;
   for (auto it = records.rbegin(); it != records.rend(); ++it) {
@@ -584,7 +582,7 @@ Status Session::ExecExplainFiring(const ExplainFiringStmt& stmt,
   if (hit == nullptr) {
     std::string msg = "no recorded firing of rule '" + stmt.rule + "'";
     if (stmt.nth > 1) msg += " at depth " + std::to_string(stmt.nth);
-    if (!log.enabled()) {
+    if (!obs::ProvenanceEnabled()) {
       msg += " (provenance is off; `set provenance on;` first)";
     }
     return Status::NotFound(std::move(msg));
@@ -619,14 +617,12 @@ Status Session::ExecExplainFiring(const ExplainFiringStmt& stmt,
 
 Status Session::ExecDumpWaves(const DumpWavesStmt& stmt, QueryResult* last) {
   if (!DELTAMON_OBS_ENABLED) return ObsDisabled("dump waves");
-  const auto& recorder = obs::GlobalWaveRecorder();
-  const std::vector<obs::WaveRecord> waves = recorder.Snapshot();
-  const obs::Json doc = obs::WaveFileJson(
-      waves, recorder.enabled(), recorder.capacity(),
-      recorder.total_records(), recorder.dropped_records());
+  const obs::RingView<obs::WaveRecord> waves =
+      obs::GlobalWaveRecorder().Snapshot();
+  const obs::Json doc = obs::WaveFileJson(waves, obs::WaveCaptureEnabled());
   DELTAMON_RETURN_IF_ERROR(obs::WriteTextFile(stmt.path, doc.Dump()));
   last->report += "WAVES " + stmt.path + " (" +
-                  std::to_string(waves.size()) + " waves)\n";
+                  std::to_string(waves.items.size()) + " waves)\n";
   return Status::OK();
 }
 

@@ -160,8 +160,6 @@ Status Propagator::ProcessNode(
         produced_total += group_delta.size();
         acc.DeltaUnion(group_delta);
       }
-      ++stats.differentials_executed;
-      stats.tuples_propagated += produced_total;
       diff_span.AddField("groups", static_cast<int64_t>(keys.size()));
       diff_span.AddField("tuples_produced",
                          static_cast<int64_t>(produced_total));
@@ -210,8 +208,6 @@ Status Propagator::ProcessNode(
                        static_cast<int64_t>(side->size()));
     diff_span.AddField("tuples_produced",
                        static_cast<int64_t>(produced.size()));
-    ++stats.differentials_executed;
-    stats.tuples_propagated += produced.size();
     out->trace.push_back(TraceEntry{diff.target, diff.influent,
                                     diff.reads_plus, diff.produces_plus,
                                     side->size(), produced.size()});
@@ -290,8 +286,6 @@ Status Propagator::ProcessNode(
           DELTAMON_RETURN_IF_ERROR(
               evaluator.EvaluateClause(diff.clause, &produced));
         }
-        ++stats.differentials_executed;
-        stats.tuples_propagated += produced.size();
         out->trace.push_back(
             TraceEntry{diff.target, diff.influent, diff.reads_plus,
                        diff.produces_plus, side.size(), produced.size()});
@@ -406,12 +400,16 @@ Status Propagator::MergeNode(
     std::unordered_map<RelationId, DeltaSet>* wave, size_t* wavefront,
     std::unordered_map<RelationId, size_t>* pending_parents) const {
   DELTAMON_RETURN_IF_ERROR(out->status);
-  result->stats.differentials_executed += out->stats.differentials_executed;
+  // Every executed differential left exactly one TraceEntry, so the
+  // executed/propagated counters are derived from the trace here.
+  result->stats.differentials_executed += out->trace.size();
   result->stats.differentials_skipped += out->stats.differentials_skipped;
-  result->stats.tuples_propagated += out->stats.tuples_propagated;
   result->stats.filtered_plus += out->stats.filtered_plus;
   result->stats.filtered_minus += out->stats.filtered_minus;
-  for (TraceEntry& e : out->trace) result->trace.push_back(e);
+  for (TraceEntry& e : out->trace) {
+    result->stats.tuples_propagated += e.tuples_produced;
+    result->trace.push_back(e);
+  }
 
   if (options_.profiler != nullptr && !out->profile.empty()) {
     // Serial fold in fixed level order: the global profile and the node's

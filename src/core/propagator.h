@@ -172,6 +172,9 @@ class Propagator {
   struct NodeOutput {
     Status status = Status::OK();
     DeltaSet acc;
+    /// One entry per executed differential; MergeNode derives
+    /// differentials_executed and tuples_propagated from it, so `stats`
+    /// carries only the skipped and filtered tallies.
     std::vector<TraceEntry> trace;
     PropagationResult::Stats stats;
     /// Per-literal clause profiles from this node's evaluation; empty

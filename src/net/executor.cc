@@ -4,6 +4,7 @@
 #include <optional>
 #include <shared_mutex>
 #include <utility>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -36,10 +37,10 @@ Result<amosql::QueryResult> Executor::Execute(amosql::Session& session,
     // propagation pool and a solo commit wave inherit, so concurrent
     // statements never share a ring. Threshold 0 (the default) skips the
     // capture: one relaxed load per statement.
-    const uint64_t slow_ns = obs::SlowLog::Global().threshold_ns();
+    const uint64_t slow_ns = obs::SlowThresholdNs();
     obs::TraceScope scope = obs::CurrentTraceScope();
     scope.trace_id = record->context.trace_id;
-    std::optional<obs::RingTraceSink> ring;
+    std::optional<obs::Ring<obs::TraceEvent>> ring;
     obs::Profile profile;
     if (slow_ns > 0) {
       ring.emplace(/*capacity=*/65536);
@@ -70,19 +71,20 @@ Result<amosql::QueryResult> Executor::Execute(amosql::Session& session,
       slow.statement = source;
       slow.ok = r.ok();
       slow.elapsed_ns = exec_ns;
-      slow.span_tree = obs::FormatSpanTree(ring->events());
-      slow.chrome_trace = obs::ChromeTraceJson(ring->events());
+      const std::vector<obs::TraceEvent> spans = ring->Snapshot().items;
+      slow.span_tree = obs::FormatSpanTree(spans);
+      slow.chrome_trace = obs::ChromeTraceJson(spans);
       slow.profile_text = profile.Format(/*include_time=*/true);
       slow.profile_json = profile.ToJson();
-      obs::SlowLog::Global().Record(std::move(slow));
+      obs::GlobalSlowLog().Record(std::move(slow));
     }
     record->ok = r.ok();
     return r;
   }();
   const auto elapsed = std::chrono::steady_clock::now() - start;
-  DELTAMON_OBS_COUNT("net.statements_served", 1);
-  if (!result.ok()) DELTAMON_OBS_COUNT("net.statement_errors", 1);
-  DELTAMON_OBS_RECORD(
+  DELTAMON_METRIC_COUNT("net.statements_served", 1);
+  if (!result.ok()) DELTAMON_METRIC_COUNT("net.statement_errors", 1);
+  DELTAMON_METRIC_RECORD(
       "net.statement_latency_ns",
       std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
   return result;

@@ -32,7 +32,7 @@ class Executor {
   /// Executes one statement batch. When `record` is non-null the executor
   /// stamps its dequeue/exec-end phases (feeding net.queue_wait_ns and
   /// net.exec_ns), installs the record's trace id for span attribution,
-  /// and — when the global SlowLog threshold is armed — captures the full
+  /// and — when the global slow threshold is armed — captures the full
   /// span tree + literal profile of over-threshold statements. Callers
   /// without a request identity (bootstrap, tests) pass nullptr and get
   /// the plain execution.

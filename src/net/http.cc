@@ -30,6 +30,10 @@ std::string HttpResponse(int code, const char* reason,
   return out;
 }
 
+std::string JsonResponse(const obs::Json& doc) {
+  return HttpResponse(200, "OK", "application/json", doc.Dump());
+}
+
 /// Value of `key` in an application/x-www-form-urlencoded query string.
 /// No percent-decoding: rule names are plain identifiers.
 std::string QueryParam(std::string_view query, std::string_view key) {
@@ -45,14 +49,6 @@ std::string QueryParam(std::string_view query, std::string_view key) {
     }
   }
   return std::string();
-}
-
-std::string DebugRequestsBody() {
-  obs::RequestRecorder& recorder = obs::GlobalRequestRecorder();
-  return obs::FlightRecorderJson(recorder.Snapshot(), recorder.capacity(),
-                                 recorder.total_records(),
-                                 recorder.dropped_records())
-      .Dump();
 }
 
 }  // namespace
@@ -94,45 +90,32 @@ std::string HandleAdminRequest(std::string_view request,
   }
   if (path == "/debug/requests") {
     // Ring health in headers so a `curl -I` (or a scraper that only wants
-    // the counters) need not parse the body.
-    obs::RequestRecorder& recorder = obs::GlobalRequestRecorder();
+    // the counters) need not parse the body. Headers and body come from
+    // one snapshot, so they always agree.
+    const auto view = obs::GlobalRequestRecorder().Snapshot();
     const std::string headers =
-        "X-Deltamon-Flight-Capacity: " + std::to_string(recorder.capacity()) +
-        "\r\nX-Deltamon-Flight-Total: " +
-        std::to_string(recorder.total_records()) +
-        "\r\nX-Deltamon-Flight-Dropped: " +
-        std::to_string(recorder.dropped_records()) + "\r\n";
-    return HttpResponse(200, "OK", "application/json", DebugRequestsBody(),
-                        headers);
+        "X-Deltamon-Flight-Capacity: " + std::to_string(view.capacity) +
+        "\r\nX-Deltamon-Flight-Total: " + std::to_string(view.total) +
+        "\r\nX-Deltamon-Flight-Dropped: " + std::to_string(view.dropped) +
+        "\r\n";
+    return HttpResponse(200, "OK", "application/json",
+                        obs::FlightRecorderJson(view).Dump(), headers);
   }
   if (path == "/debug/provenance") {
-    const auto& log = obs::GlobalProvenanceLog();
-    return HttpResponse(200, "OK", "application/json",
-                        obs::ProvenanceJson(log.Snapshot(), log.enabled(),
-                                            log.capacity(),
-                                            log.total_records(),
-                                            log.dropped_records())
-                            .Dump());
+    return JsonResponse(obs::ProvenanceJson(
+        obs::GlobalProvenanceLog().Snapshot(), obs::ProvenanceEnabled()));
   }
   if (path == "/debug/waves") {
-    const auto& recorder = obs::GlobalWaveRecorder();
-    return HttpResponse(200, "OK", "application/json",
-                        obs::WaveFileJson(recorder.Snapshot(),
-                                          recorder.enabled(),
-                                          recorder.capacity(),
-                                          recorder.total_records(),
-                                          recorder.dropped_records())
-                            .Dump());
+    return JsonResponse(obs::WaveFileJson(obs::GlobalWaveRecorder().Snapshot(),
+                                          obs::WaveCaptureEnabled()));
   }
   if (path == "/debug/requests/trace") {
-    return HttpResponse(
-        200, "OK", "application/json",
-        obs::RequestsChromeTraceJson(obs::GlobalRequestRecorder().Snapshot())
-            .Dump());
+    return JsonResponse(obs::RequestsChromeTraceJson(
+        obs::GlobalRequestRecorder().Snapshot().items));
   }
   if (path == "/debug/slow") {
-    return HttpResponse(200, "OK", "application/json",
-                        obs::SlowLog::Global().ToJson().Dump());
+    return JsonResponse(obs::SlowLogJson(obs::GlobalSlowLog().Snapshot(),
+                                         obs::SlowThresholdNs()));
   }
   if (path == "/debug/network") {
     if (hooks == nullptr || !hooks->network_dot) {
@@ -231,7 +214,7 @@ void AdminServer::ServeOne(int client_fd) {
     request.append(buf, static_cast<size_t>(n));
   }
   if (request.empty()) return;
-  DELTAMON_OBS_COUNT("net.http_requests", 1);
+  DELTAMON_METRIC_COUNT("net.http_requests", 1);
   const std::string response = HandleAdminRequest(request, &hooks_);
   (void)WriteAll(client_fd, response);
 }

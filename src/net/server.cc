@@ -103,7 +103,7 @@ Status Server::Start() {
   }
 
   if (options_.slow_statement_ms > 0) {
-    obs::SlowLog::Global().set_threshold_ns(
+    obs::SetSlowThresholdNs(
         static_cast<uint64_t>(options_.slow_statement_ms * 1e6));
   }
 
@@ -178,7 +178,7 @@ void Server::AcceptLoop() {
                          SOCK_NONBLOCK | SOCK_CLOEXEC);
       if (fd < 0) break;  // EAGAIN, or a transient per-connection error
       (void)SetNoDelay(fd);
-      DELTAMON_OBS_COUNT("net.connections_accepted", 1);
+      DELTAMON_METRIC_COUNT("net.connections_accepted", 1);
       Worker& w = *workers_[next_worker_.fetch_add(
                                1, std::memory_order_relaxed) %
                            workers_.size()];
@@ -221,7 +221,7 @@ void Server::RegisterPending(Worker& w) {
       continue;
     }
     w.conns.emplace(fd, std::move(conn));
-    DELTAMON_OBS_GAUGE_SET(
+    DELTAMON_METRIC_GAUGE_SET(
         "net.connections_active",
         active_conns_.fetch_add(1, std::memory_order_relaxed) + 1);
   }
@@ -274,7 +274,7 @@ bool Server::OnReadable(Worker& w, Conn& c) {
     while (true) {
       ssize_t n = ::read(c.fd, buf, sizeof(buf));
       if (n > 0) {
-        DELTAMON_OBS_COUNT("net.bytes_in", n);
+        DELTAMON_METRIC_COUNT("net.bytes_in", n);
         c.parser.Feed(buf, static_cast<size_t>(n));
         c.last_active = std::chrono::steady_clock::now();
         continue;
@@ -301,7 +301,7 @@ void Server::ProcessFrames(Conn& c) {
       // consumes what it already has; remaining frames stay buffered.
       if (!c.paused) {
         c.paused = true;
-        DELTAMON_OBS_COUNT("net.backpressure_paused", 1);
+        DELTAMON_METRIC_COUNT("net.backpressure_paused", 1);
       }
       return;
     }
@@ -310,12 +310,12 @@ void Server::ProcessFrames(Conn& c) {
     if (next == FrameParser::Next::kError) {
       // Oversized or malformed length prefix: tell the client why, then
       // close — the stream cannot be resynchronized.
-      DELTAMON_OBS_COUNT("net.frames_rejected", 1);
+      DELTAMON_METRIC_COUNT("net.frames_rejected", 1);
       Reply(c, FrameType::kError, c.parser.error().ToString());
       c.closing = true;
       break;
     }
-    DELTAMON_OBS_COUNT("net.frames_in", 1);
+    DELTAMON_METRIC_COUNT("net.frames_in", 1);
     HandleFrame(c, std::move(frame));
   }
   if (c.peer_eof && !c.closing) {
@@ -365,11 +365,11 @@ void Server::HandleFrame(Conn& c, Frame frame) {
 void Server::ExecuteQuery(Conn& c, const std::string& text) {
   // Mint the request's identity the moment the QUERY frame is parsed;
   // the executor stamps the dequeue/exec phases, the flush path stamps
-  // reply_flushed. Under OBS=OFF all of this folds away (kRequestTracing-
-  // Enabled is constexpr false) and the executor sees a null record.
+  // reply_flushed. Under OBS=OFF all of this folds away (kObsEnabled is
+  // constexpr false) and the executor sees a null record.
   obs::RequestRecord record;
   const uint64_t queued_before = c.bytes_sent_total + c.out.size();
-  if (obs::kRequestTracingEnabled) {
+  if (obs::kObsEnabled) {
     record.context.trace_id = obs::NextTraceId();
     record.context.connection_id = c.conn_id;
     // Sessions are per-connection today, so they share the connection's
@@ -381,7 +381,7 @@ void Server::ExecuteQuery(Conn& c, const std::string& text) {
     record.enqueue_ns = obs::MonotonicNowNs();
   }
   Result<amosql::QueryResult> result = executor_.Execute(
-      *c.session, text, obs::kRequestTracingEnabled ? &record : nullptr);
+      *c.session, text, obs::kObsEnabled ? &record : nullptr);
   std::string action_output = c.action_output->Drain();
   if (!result.ok()) {
     // A commit that lost first-committer-wins validation gets its own
@@ -395,7 +395,7 @@ void Server::ExecuteQuery(Conn& c, const std::string& text) {
     // Rule-action print output first, then the statement report — the
     // order the REPL shows them in.
     std::string report = std::move(action_output) + result->report;
-    if (obs::kRequestTracingEnabled && c.wants_trace_info) {
+    if (obs::kObsEnabled && c.wants_trace_info) {
       report += TraceInfoLine(record);
     }
     if (result->rows.empty()) {
@@ -407,7 +407,7 @@ void Server::ExecuteQuery(Conn& c, const std::string& text) {
       Reply(c, FrameType::kRows, EncodeRows(rows, report));
     }
   }
-  if (obs::kRequestTracingEnabled) {
+  if (obs::kObsEnabled) {
     record.reply_queued_ns = obs::MonotonicNowNs();
     const uint64_t reply_end = c.bytes_sent_total + c.out.size();
     record.reply_bytes = reply_end - queued_before;
@@ -438,7 +438,7 @@ bool Server::FlushOut(Worker& w, Conn& c) {
     while (!c.out.empty()) {
       ssize_t n = ::write(c.fd, c.out.data(), c.out.size());
       if (n > 0) {
-        DELTAMON_OBS_COUNT("net.bytes_out", n);
+        DELTAMON_METRIC_COUNT("net.bytes_out", n);
         c.bytes_sent_total += static_cast<uint64_t>(n);
         c.out.erase(0, static_cast<size_t>(n));
         continue;
@@ -486,7 +486,7 @@ void Server::CloseConn(Worker& w, int fd) {
   ::epoll_ctl(w.epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
   CloseFd(fd);
   w.conns.erase(it);
-  DELTAMON_OBS_GAUGE_SET(
+  DELTAMON_METRIC_GAUGE_SET(
       "net.connections_active",
       active_conns_.fetch_sub(1, std::memory_order_relaxed) - 1);
 }
@@ -499,7 +499,7 @@ void Server::SweepIdle(Worker& w) {
     if (now - conn->last_active > limit) expired.push_back(fd);
   }
   for (int fd : expired) {
-    DELTAMON_OBS_COUNT("net.idle_closed", 1);
+    DELTAMON_METRIC_COUNT("net.idle_closed", 1);
     CloseConn(w, fd);
   }
 }
@@ -515,7 +515,7 @@ void Server::DrainAndCloseAll(Worker& w) {
            std::chrono::steady_clock::now() < deadline) {
       ssize_t n = ::write(fd, conn->out.data(), conn->out.size());
       if (n > 0) {
-        DELTAMON_OBS_COUNT("net.bytes_out", n);
+        DELTAMON_METRIC_COUNT("net.bytes_out", n);
         conn->bytes_sent_total += static_cast<uint64_t>(n);
         conn->out.erase(0, static_cast<size_t>(n));
         continue;

@@ -41,7 +41,7 @@ struct ServerOptions {
   /// cannot grow server memory without bound. 0 disables.
   size_t write_high_water = 8u << 20;
   /// Statements whose execution exceeds this threshold are captured with
-  /// their full span tree and literal profile into the global SlowLog
+  /// their full span tree and literal profile into the global slow log
   /// (GET /debug/slow, AMOSQL `show slow;`). 0 (the default) disables the
   /// capture and its per-statement instrumentation entirely.
   double slow_statement_ms = 0;

@@ -1,5 +1,6 @@
 #include "obs/flight_recorder.h"
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <utility>
@@ -100,54 +101,23 @@ Json RequestRecord::ToJson() const {
   return out;
 }
 
-void FlightRecorder::Record(RequestRecord record) {
-  std::lock_guard<std::mutex> lock(mu_);
-  total_records_.fetch_add(1, std::memory_order_relaxed);
-  if (capacity_ == 0) {
-    dropped_records_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  if (records_.size() == capacity_) {
-    records_.pop_front();
-    dropped_records_.fetch_add(1, std::memory_order_relaxed);
-  }
-  records_.push_back(std::move(record));
-}
-
-std::vector<RequestRecord> FlightRecorder::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return std::vector<RequestRecord>(records_.begin(), records_.end());
-}
-
-void FlightRecorder::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  records_.clear();
-}
-
 namespace {
 std::atomic<size_t> g_flight_capacity{256};
+std::atomic<uint64_t> g_slow_threshold_ns{0};
 }  // namespace
 
 void SetGlobalFlightRecorderCapacity(size_t capacity) {
   g_flight_capacity.store(capacity, std::memory_order_relaxed);
 }
 
-RequestRecorder& GlobalRequestRecorder() {
-  static RequestRecorder* recorder =
-      new RequestRecorder(g_flight_capacity.load(std::memory_order_relaxed));
+Ring<RequestRecord, kObsEnabled>& GlobalRequestRecorder() {
+  static auto* recorder = new Ring<RequestRecord, kObsEnabled>(
+      g_flight_capacity.load(std::memory_order_relaxed));
   return *recorder;
 }
 
-Json FlightRecorderJson(const std::vector<RequestRecord>& records,
-                        size_t capacity, uint64_t total, uint64_t dropped) {
-  Json requests = Json::Array();
-  for (const RequestRecord& r : records) requests.Append(r.ToJson());
-  Json out = Json::Object();
-  out.Set("capacity", static_cast<int64_t>(capacity));
-  out.Set("total_records", static_cast<int64_t>(total));
-  out.Set("dropped_records", static_cast<int64_t>(dropped));
-  out.Set("requests", std::move(requests));
-  return out;
+Json FlightRecorderJson(const RingView<RequestRecord>& view) {
+  return RingJson(Json::Object(), view, "requests");
 }
 
 Json RequestsChromeTraceJson(const std::vector<RequestRecord>& records) {
@@ -205,53 +175,35 @@ Json SlowRecord::ToJson() const {
   return out;
 }
 
-SlowLog& SlowLog::Global() {
-  static SlowLog* log = new SlowLog();
+Ring<SlowRecord>& GlobalSlowLog() {
+  static auto* log = new Ring<SlowRecord>(/*capacity=*/32);
   return *log;
 }
 
-void SlowLog::Record(SlowRecord record) {
-  std::lock_guard<std::mutex> lock(mu_);
-  total_records_.fetch_add(1, std::memory_order_relaxed);
-  if (records_.size() == capacity_) {
-    records_.pop_front();
-    dropped_records_.fetch_add(1, std::memory_order_relaxed);
-  }
-  records_.push_back(std::move(record));
+uint64_t SlowThresholdNs() {
+  return g_slow_threshold_ns.load(std::memory_order_relaxed);
 }
 
-std::vector<SlowRecord> SlowLog::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return std::vector<SlowRecord>(records_.begin(), records_.end());
+void SetSlowThresholdNs(uint64_t ns) {
+  g_slow_threshold_ns.store(ns, std::memory_order_relaxed);
 }
 
-void SlowLog::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  records_.clear();
-}
-
-Json SlowLog::ToJson() const {
-  Json entries = Json::Array();
-  for (const SlowRecord& r : Snapshot()) entries.Append(r.ToJson());
+Json SlowLogJson(const RingView<SlowRecord>& view, uint64_t threshold_ns) {
   Json out = Json::Object();
-  out.Set("threshold_ns", static_cast<int64_t>(threshold_ns()));
-  out.Set("capacity", static_cast<int64_t>(capacity_));
-  out.Set("total_records", static_cast<int64_t>(total_records()));
-  out.Set("dropped_records", static_cast<int64_t>(dropped_records()));
-  out.Set("slow", std::move(entries));
-  return out;
+  out.Set("threshold_ns", static_cast<int64_t>(threshold_ns));
+  return RingJson(std::move(out), view, "slow");
 }
 
-std::string SlowLog::Format() const {
-  const std::vector<SlowRecord> records = Snapshot();
+std::string FormatSlowLog(const RingView<SlowRecord>& view,
+                          uint64_t threshold_ns) {
   std::string out = "SLOW STATEMENTS (threshold ";
-  out += threshold_ns() == 0 ? std::string("off") : FormatMs(threshold_ns());
-  out += ", " + std::to_string(records.size()) + " recorded";
-  if (dropped_records() > 0) {
-    out += ", " + std::to_string(dropped_records()) + " dropped";
+  out += threshold_ns == 0 ? std::string("off") : FormatMs(threshold_ns);
+  out += ", " + std::to_string(view.items.size()) + " recorded";
+  if (view.dropped > 0) {
+    out += ", " + std::to_string(view.dropped) + " dropped";
   }
   out += ")\n";
-  for (const SlowRecord& r : records) {
+  for (const SlowRecord& r : view.items) {
     out += "[trace " + std::to_string(r.context.trace_id) + "] conn " +
            std::to_string(r.context.connection_id) + " stmt " +
            std::to_string(r.context.statement_ordinal) + ": " +

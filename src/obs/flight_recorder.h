@@ -1,15 +1,12 @@
 #ifndef DELTAMON_OBS_FLIGHT_RECORDER_H_
 #define DELTAMON_OBS_FLIGHT_RECORDER_H_
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "obs/json.h"
-#include "obs/metrics.h"  // DELTAMON_OBS_ENABLED
+#include "obs/ring.h"
 
 /// --- Request-scoped tracing -------------------------------------------------
 ///
@@ -18,22 +15,20 @@
 /// parsed), dequeue (the executor starts the statement — evaluation
 /// starts; frames pipelined on one connection wait for the ones before
 /// them), exec end, reply queued, reply flushed to the kernel. Completed
-/// records land in a fixed-capacity FlightRecorder ring served by the admin
-/// HTTP endpoints (/debug/requests, /debug/requests/trace), and statements
-/// over the --slow-statement-ms threshold additionally capture their full
-/// span tree + literal profile into the SlowLog (/debug/slow, `show slow;`).
+/// records land in the flight recorder, a Ring<RequestRecord> served by
+/// the admin HTTP endpoints (/debug/requests, /debug/requests/trace), and
+/// statements over the --slow-statement-ms threshold additionally capture
+/// their full span tree + literal profile into the slow log, a
+/// Ring<SlowRecord> (/debug/slow, `show slow;`).
 ///
-/// Memory is strictly bounded: both the recorder and the slow log are
-/// rings, and every displaced entry bumps a dropped counter so truncation
-/// announces itself. Under -DDELTAMON_OBS=OFF the recorder compiles to the
-/// NullFlightRecorder (no ring, no clock reads, no ids) while the admin
-/// endpoints keep serving valid — empty — documents.
+/// Memory is strictly bounded: both are rings, and every displaced entry
+/// bumps a dropped tally so truncation announces itself. Under
+/// -DDELTAMON_OBS=OFF the recorder is the compiled-out
+/// Ring<RequestRecord, false> and the server guards its clock reads and id
+/// minting on kObsEnabled (no ring, no clock reads, no ids), while the
+/// admin endpoints keep serving valid — empty — documents.
 
 namespace deltamon::obs {
-
-/// True when request tracing is compiled in; call sites guard clock reads
-/// and id minting on this so OBS=OFF builds carry zero residue.
-inline constexpr bool kRequestTracingEnabled = DELTAMON_OBS_ENABLED != 0;
 
 /// steady_clock now, in nanoseconds — the clock every phase timestamp and
 /// span start/duration uses, so cross-source arithmetic is meaningful.
@@ -93,71 +88,18 @@ struct RequestRecord {
   Json ToJson() const;
 };
 
-/// Fixed-capacity ring of the most recent completed requests. One mutex
-/// around a deque: writers are worker threads completing a flush (a few
-/// appends per statement, far off the per-tuple hot path), readers are the
-/// admin thread and tests.
-class FlightRecorder {
- public:
-  explicit FlightRecorder(size_t capacity = 256) : capacity_(capacity) {}
-  FlightRecorder(const FlightRecorder&) = delete;
-  FlightRecorder& operator=(const FlightRecorder&) = delete;
-
-  void Record(RequestRecord record);
-  /// Oldest-to-newest copy of the ring.
-  std::vector<RequestRecord> Snapshot() const;
-  /// Records displaced by overflow since construction (survives Clear).
-  uint64_t dropped_records() const {
-    return dropped_records_.load(std::memory_order_relaxed);
-  }
-  /// Records ever accepted.
-  uint64_t total_records() const {
-    return total_records_.load(std::memory_order_relaxed);
-  }
-  size_t capacity() const { return capacity_; }
-  void Clear();
-
- private:
-  const size_t capacity_;
-  mutable std::mutex mu_;
-  std::atomic<uint64_t> dropped_records_{0};
-  std::atomic<uint64_t> total_records_{0};
-  std::deque<RequestRecord> records_;
-};
-
-/// Compiled-out twin: every method folds away, so OBS=OFF servers carry no
-/// ring, take no locks, and read no clocks — while /debug/requests still
-/// serves a valid empty document.
-struct NullFlightRecorder {
-  NullFlightRecorder() = default;
-  explicit NullFlightRecorder(size_t) {}
-  void Record(const RequestRecord&) {}
-  std::vector<RequestRecord> Snapshot() const { return {}; }
-  uint64_t dropped_records() const { return 0; }
-  uint64_t total_records() const { return 0; }
-  size_t capacity() const { return 0; }
-  void Clear() {}
-};
-
-#if DELTAMON_OBS_ENABLED
-using RequestRecorder = FlightRecorder;
-#else
-using RequestRecorder = NullFlightRecorder;
-#endif
-
 /// Sets the capacity the process-wide recorder is constructed with
 /// (deltamond --flight-records). Effective only if called before the
 /// first GlobalRequestRecorder() use — the server does so during startup,
 /// before any connection is accepted; later calls are ignored.
 void SetGlobalFlightRecorderCapacity(size_t capacity);
 
-/// The process-wide recorder behind /debug/requests.
-RequestRecorder& GlobalRequestRecorder();
+/// The process-wide flight recorder behind /debug/requests.
+Ring<RequestRecord, kObsEnabled>& GlobalRequestRecorder();
 
 /// The /debug/requests document: {capacity, total_records,
 /// dropped_records, requests: [RequestRecord.ToJson()...]}.
-Json FlightRecorderJson(const std::vector<RequestRecord>& records,
-                        size_t capacity, uint64_t total, uint64_t dropped);
+Json FlightRecorderJson(const RingView<RequestRecord>& view);
 
 /// Chrome/Perfetto trace_event document synthesized from request records:
 /// per request one "request" span plus one span per phase, tid = the
@@ -180,50 +122,27 @@ struct SlowRecord {
   Json ToJson() const;
 };
 
-/// Bounded ring of statements that exceeded the slow threshold. A process
+/// The slow log: statements that exceeded the slow threshold. A process
 /// global (like Registry::Global) so `show slow;` works from any session
 /// — including a local shell attached to the same engine — not just the
-/// connection that ran the slow statement. threshold_ns()==0 disables
-/// capture entirely; the executor checks it before arming any
-/// instrumentation, so an idle slow log costs one relaxed load.
-class SlowLog {
- public:
-  static SlowLog& Global();
+/// connection that ran the slow statement. It records in OBS=OFF builds
+/// too: it is server plumbing, armed by the threshold alone.
+Ring<SlowRecord>& GlobalSlowLog();
 
-  uint64_t threshold_ns() const {
-    return threshold_ns_.load(std::memory_order_relaxed);
-  }
-  void set_threshold_ns(uint64_t ns) {
-    threshold_ns_.store(ns, std::memory_order_relaxed);
-  }
+/// The slow threshold in ns; 0 (the default) disables capture entirely.
+/// The executor checks it before arming any instrumentation, so an idle
+/// slow log costs one relaxed load.
+uint64_t SlowThresholdNs();
+void SetSlowThresholdNs(uint64_t ns);
 
-  void Record(SlowRecord record);
-  std::vector<SlowRecord> Snapshot() const;
-  uint64_t total_records() const {
-    return total_records_.load(std::memory_order_relaxed);
-  }
-  uint64_t dropped_records() const {
-    return dropped_records_.load(std::memory_order_relaxed);
-  }
-  size_t capacity() const { return capacity_; }
-  void Clear();
+/// The /debug/slow document: {threshold_ns, capacity, total_records,
+/// dropped_records, slow: [SlowRecord.ToJson()...]}.
+Json SlowLogJson(const RingView<SlowRecord>& view, uint64_t threshold_ns);
 
-  /// The /debug/slow document.
-  Json ToJson() const;
-  /// `show slow;` report: threshold, entry count, then per entry the
-  /// statement, elapsed time, span tree and profile.
-  std::string Format() const;
-
- private:
-  SlowLog() = default;
-
-  const size_t capacity_ = 32;
-  std::atomic<uint64_t> threshold_ns_{0};
-  mutable std::mutex mu_;
-  std::atomic<uint64_t> dropped_records_{0};
-  std::atomic<uint64_t> total_records_{0};
-  std::deque<SlowRecord> records_;
-};
+/// `show slow;` report: threshold, entry count, then per entry the
+/// statement, elapsed time, span tree and profile.
+std::string FormatSlowLog(const RingView<SlowRecord>& view,
+                          uint64_t threshold_ns);
 
 }  // namespace deltamon::obs
 

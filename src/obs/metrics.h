@@ -12,9 +12,10 @@
 
 /// Compile-time instrumentation toggle. When 0 (cmake -DDELTAMON_OBS=OFF)
 /// the DELTAMON_OBS_* macros below expand to nothing and the hot paths
-/// carry no instrumentation at all; the registry/report API itself is
-/// always compiled so PROFILE / bench reports keep working (they then
-/// report empty metrics).
+/// carry no diagnostic instrumentation at all; the registry/report API
+/// and the operational DELTAMON_METRIC_* macros are always compiled, so
+/// /metrics, PROFILE and bench reports keep working (they then report the
+/// operational series only).
 #ifndef DELTAMON_OBS_ENABLED
 #define DELTAMON_OBS_ENABLED 1
 #endif
@@ -204,13 +205,18 @@ class ScopedTimer {
 
 /// --- Instrumentation macros -----------------------------------------------
 ///
-/// All built-in instrumentation goes through these so a single compile-time
-/// switch removes every trace of it from the hot paths.
-
-#if DELTAMON_OBS_ENABLED
+/// Two tiers, both honouring the run-time Enabled() switch:
+///
+/// - DELTAMON_METRIC_* record *operational* metrics — the series /metrics
+///   and /healthz exist for (server connections, bytes and frames,
+///   backpressure, statements served and failed, statement latency). They
+///   are compiled into every build.
+/// - DELTAMON_OBS_* record *diagnostic* instrumentation (engine internals,
+///   per-phase request timings). A single compile-time switch
+///   (-DDELTAMON_OBS=OFF) removes every trace of it from the hot paths.
 
 /// Adds `n` to the global counter `name` (cached static lookup).
-#define DELTAMON_OBS_COUNT(name, n)                                   \
+#define DELTAMON_METRIC_COUNT(name, n)                                \
   do {                                                                \
     if (::deltamon::obs::Enabled()) {                                 \
       static ::deltamon::obs::Counter* _dm_counter =                  \
@@ -220,7 +226,7 @@ class ScopedTimer {
   } while (false)
 
 /// Sets the global gauge `name` (cached static lookup).
-#define DELTAMON_OBS_GAUGE_SET(name, v)                               \
+#define DELTAMON_METRIC_GAUGE_SET(name, v)                            \
   do {                                                                \
     if (::deltamon::obs::Enabled()) {                                 \
       static ::deltamon::obs::Gauge* _dm_gauge =                      \
@@ -230,7 +236,7 @@ class ScopedTimer {
   } while (false)
 
 /// Records `v` into the global histogram `name` (cached static lookup).
-#define DELTAMON_OBS_RECORD(name, v)                                  \
+#define DELTAMON_METRIC_RECORD(name, v)                               \
   do {                                                                \
     if (::deltamon::obs::Enabled()) {                                 \
       static ::deltamon::obs::Histogram* _dm_hist =                   \
@@ -238,6 +244,12 @@ class ScopedTimer {
       _dm_hist->Record(static_cast<uint64_t>(v));                     \
     }                                                                 \
   } while (false)
+
+#if DELTAMON_OBS_ENABLED
+
+#define DELTAMON_OBS_COUNT(name, n) DELTAMON_METRIC_COUNT(name, n)
+#define DELTAMON_OBS_GAUGE_SET(name, v) DELTAMON_METRIC_GAUGE_SET(name, v)
+#define DELTAMON_OBS_RECORD(name, v) DELTAMON_METRIC_RECORD(name, v)
 
 /// Times the enclosing scope into the global histogram `name`.
 #define DELTAMON_OBS_SCOPED_TIMER(var, name)                          \

@@ -1,5 +1,6 @@
 #include "obs/provenance.h"
 
+#include <atomic>
 #include <utility>
 
 namespace deltamon::obs {
@@ -20,60 +21,39 @@ Json FiringRecord::ToJson() const {
   return out;
 }
 
-void ProvenanceLog::Record(FiringRecord record) {
-  std::lock_guard<std::mutex> lock(mu_);
-  record.seq = total_records_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (capacity_ == 0) {
-    dropped_records_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  if (records_.size() == capacity_) {
-    records_.pop_front();
-    dropped_records_.fetch_add(1, std::memory_order_relaxed);
-  }
-  records_.push_back(std::move(record));
-}
-
-std::vector<FiringRecord> ProvenanceLog::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return std::vector<FiringRecord>(records_.begin(), records_.end());
-}
-
-void ProvenanceLog::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  records_.clear();
-  // A cleared ring is a fresh recording: seq restarts at 1 and the
-  // overflow counter describes only the current capture session.
-  total_records_.store(0, std::memory_order_relaxed);
-  dropped_records_.store(0, std::memory_order_relaxed);
-}
-
-FiringProvenance& GlobalProvenanceLog() {
-  static FiringProvenance* log = new FiringProvenance();
+Ring<FiringRecord, kObsEnabled>& GlobalProvenanceLog() {
+  static auto* log = new Ring<FiringRecord, kObsEnabled>(/*capacity=*/128);
   return *log;
 }
 
-Json ProvenanceJson(const std::vector<FiringRecord>& records, bool enabled,
-                    size_t capacity, uint64_t total, uint64_t dropped) {
-  Json firings = Json::Array();
-  for (const FiringRecord& r : records) firings.Append(r.ToJson());
-  Json out = Json::Object();
-  out.Set("enabled", enabled);
-  out.Set("capacity", static_cast<int64_t>(capacity));
-  out.Set("total_records", static_cast<int64_t>(total));
-  out.Set("dropped_records", static_cast<int64_t>(dropped));
-  out.Set("firings", std::move(firings));
-  return out;
+namespace {
+std::atomic<bool> g_provenance_enabled{false};
+}  // namespace
+
+bool ProvenanceEnabled() {
+  return g_provenance_enabled.load(std::memory_order_relaxed);
 }
 
-std::string FormatProvenance(const std::vector<FiringRecord>& records,
-                             bool enabled, uint64_t total, uint64_t dropped) {
+void SetProvenanceEnabled(bool on) {
+  g_provenance_enabled.store(on, std::memory_order_relaxed);
+}
+
+Json ProvenanceJson(const RingView<FiringRecord>& view, bool enabled) {
+  Json out = Json::Object();
+  out.Set("enabled", enabled);
+  return RingJson(std::move(out), view, "firings");
+}
+
+std::string FormatProvenance(const RingView<FiringRecord>& view,
+                             bool enabled) {
   std::string out = "FIRING PROVENANCE (";
   out += enabled ? "on" : "off";
-  out += ", " + std::to_string(records.size()) + " recorded";
-  if (dropped > 0) out += ", " + std::to_string(dropped) + " dropped";
-  out += ", " + std::to_string(total) + " total)\n";
-  for (const FiringRecord& r : records) {
+  out += ", " + std::to_string(view.items.size()) + " recorded";
+  if (view.dropped > 0) {
+    out += ", " + std::to_string(view.dropped) + " dropped";
+  }
+  out += ", " + std::to_string(view.total) + " total)\n";
+  for (const FiringRecord& r : view.items) {
     out += "[" + std::to_string(r.seq) + "] " + r.rule + " fired on " +
            std::to_string(r.total_instances) + " instance(s) (trace " +
            std::to_string(r.trace_id) + ", version " +

@@ -76,7 +76,7 @@ Span::~Span() {
     event.fields.emplace_back("trace_id", static_cast<int64_t>(trace_id_));
   }
   for (auto& field : fields_) event.fields.push_back(std::move(field));
-  EmitTrace(event);
+  EmitTrace(std::move(event));
 }
 
 void Span::AddField(std::string key, int64_t value) {
@@ -109,7 +109,7 @@ int64_t SpanField(const TraceEvent& event, const char* key, int64_t fallback) {
   return fallback;
 }
 
-Json ChromeTraceJson(const std::deque<TraceEvent>& events) {
+Json ChromeTraceJson(const std::vector<TraceEvent>& events) {
   // Normalize timestamps so the trace starts near zero — Perfetto handles
   // raw steady_clock values, but small numbers read better.
   int64_t min_start = 0;
@@ -150,12 +150,12 @@ Json ChromeTraceJson(const std::deque<TraceEvent>& events) {
   return doc;
 }
 
-Status WriteChromeTrace(const std::deque<TraceEvent>& events,
+Status WriteChromeTrace(const std::vector<TraceEvent>& events,
                         const std::string& path) {
   return WriteTextFile(path, ChromeTraceJson(events).Dump());
 }
 
-std::string FormatSpanTree(const std::deque<TraceEvent>& events) {
+std::string FormatSpanTree(const std::vector<TraceEvent>& events) {
   struct Record {
     const TraceEvent* event = nullptr;
     int64_t start = 0;

@@ -2,7 +2,6 @@
 #define DELTAMON_OBS_SPAN_H_
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,11 +16,11 @@ namespace deltamon::obs {
 ///
 /// A Span is an RAII wall-clock interval with parent/child nesting: the
 /// innermost live span on the current thread is the parent of any span
-/// started while it is open. On destruction the span emits one TraceEvent
-/// into its thread's TraceSink (see TraceScope), carrying its id, parent
-/// id, thread, start time, duration and the scope's trace id as integer
-/// fields — so the existing ring sink, the span-tree printer and the
-/// Chrome-trace exporter all consume the same stream.
+/// started while it is open. On destruction the span records one TraceEvent
+/// into its thread's trace ring (a Ring<TraceEvent>, see TraceScope),
+/// carrying its id, parent id, thread, start time, duration and the scope's
+/// trace id as integer fields — so the span-tree printer and the
+/// Chrome-trace exporter both read the items of one ring snapshot.
 ///
 /// Cost model: when no sink is installed (the default) a span is one
 /// thread-local read and one atomic load in the constructor and a branch
@@ -98,10 +97,10 @@ int64_t SpanField(const TraceEvent& event, const char* key, int64_t fallback);
 /// complete ("ph":"X") event with microsecond timestamps normalized to the
 /// earliest span start. Non-span events are skipped (they carry no
 /// timestamps). Loadable in chrome://tracing and ui.perfetto.dev.
-Json ChromeTraceJson(const std::deque<TraceEvent>& events);
+Json ChromeTraceJson(const std::vector<TraceEvent>& events);
 
 /// Serializes ChromeTraceJson(events) to `path`.
-Status WriteChromeTrace(const std::deque<TraceEvent>& events,
+Status WriteChromeTrace(const std::vector<TraceEvent>& events,
                         const std::string& path);
 
 /// Indented parent/child rendering of the recorded spans, children in
@@ -113,7 +112,7 @@ Status WriteChromeTrace(const std::deque<TraceEvent>& events,
 ///
 /// Spans whose parent was dropped from the ring (or ended outside it)
 /// are printed as roots. "(no spans recorded)" when there are none.
-std::string FormatSpanTree(const std::deque<TraceEvent>& events);
+std::string FormatSpanTree(const std::vector<TraceEvent>& events);
 
 }  // namespace deltamon::obs
 

@@ -1,13 +1,14 @@
 #include "obs/trace.h"
 
 #include <atomic>
+#include <utility>
 
 #include "obs/metrics.h"
 
 namespace deltamon::obs {
 
 namespace {
-std::atomic<TraceSink*> g_sink{nullptr};
+std::atomic<Ring<TraceEvent>*> g_sink{nullptr};
 thread_local TraceScope t_scope;
 }  // namespace
 
@@ -22,27 +23,12 @@ std::string TraceEvent::ToString() const {
   return out + "}";
 }
 
-void RingTraceSink::OnEvent(const TraceEvent& event) {
-  if (capacity_ == 0) {
-    dropped_events_.fetch_add(1, std::memory_order_relaxed);
-    DELTAMON_OBS_COUNT("obs.trace.dropped_events", 1);
-    return;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (events_.size() == capacity_) {
-    events_.pop_front();
-    dropped_events_.fetch_add(1, std::memory_order_relaxed);
-    DELTAMON_OBS_COUNT("obs.trace.dropped_events", 1);
-  }
-  events_.push_back(event);
-}
-
-void SetTraceSink(TraceSink* sink) {
+void SetTraceSink(Ring<TraceEvent>* sink) {
   g_sink.store(sink, std::memory_order_release);
 }
 
-TraceSink* GetTraceSink() {
-  TraceSink* scoped = t_scope.sink;
+Ring<TraceEvent>* GetTraceSink() {
+  Ring<TraceEvent>* scoped = t_scope.sink;
   return scoped != nullptr ? scoped : g_sink.load(std::memory_order_acquire);
 }
 
@@ -55,9 +41,11 @@ ScopedTraceScope::ScopedTraceScope(const TraceScope& scope)
 
 ScopedTraceScope::~ScopedTraceScope() { t_scope = saved_; }
 
-void EmitTrace(const TraceEvent& event) {
-  TraceSink* sink = GetTraceSink();
-  if (sink != nullptr) sink->OnEvent(event);
+void EmitTrace(TraceEvent event) {
+  Ring<TraceEvent>* sink = GetTraceSink();
+  if (sink != nullptr && sink->Record(std::move(event)) > sink->capacity()) {
+    DELTAMON_OBS_COUNT("obs.trace.dropped_events", 1);
+  }
 }
 
 }  // namespace deltamon::obs

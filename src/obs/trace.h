@@ -1,13 +1,12 @@
 #ifndef DELTAMON_OBS_TRACE_H_
 #define DELTAMON_OBS_TRACE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "obs/ring.h"
 
 namespace deltamon::obs {
 
@@ -24,59 +23,20 @@ struct TraceEvent {
   std::string ToString() const;
 };
 
-/// Receives trace events. Implementations must tolerate events from any
-/// subsystem; emission is disabled wholesale when no sink is installed, so
-/// sinks never see a partial stream.
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-  virtual void OnEvent(const TraceEvent& event) = 0;
-};
-
-/// Keeps the most recent `capacity` events in memory (older events are
-/// dropped), for tests, the PROFILE command, and TRACE recording. Overflow
-/// is not silent: every displaced event bumps dropped_events() and the
-/// global `obs.trace.dropped_events` counter (visible in SHOW METRICS), so
-/// a truncated trace announces itself.
-/// OnEvent is internally synchronized: parallel propagation emits spans and
-/// differential events from worker threads. Reading events() while another
-/// thread still emits is not synchronized — consumers (tests, TRACE, the
-/// profiler) read only after the traced work has joined.
-class RingTraceSink : public TraceSink {
- public:
-  explicit RingTraceSink(size_t capacity = 1024) : capacity_(capacity) {}
-
-  void OnEvent(const TraceEvent& event) override;
-
-  const std::deque<TraceEvent>& events() const { return events_; }
-  /// Events displaced by overflow since construction (survives Clear).
-  uint64_t dropped_events() const {
-    return dropped_events_.load(std::memory_order_relaxed);
-  }
-  void Clear() {
-    std::lock_guard<std::mutex> lock(mu_);
-    events_.clear();
-  }
-
- private:
-  size_t capacity_;
-  std::mutex mu_;
-  std::atomic<uint64_t> dropped_events_{0};
-  std::deque<TraceEvent> events_;
-};
-
-/// Process-wide sink registration: the sink of every thread that has no
+/// Process-wide sink registration: the ring of every thread that has no
 /// scope sink of its own (see TraceScope). Null (the default) disables
 /// emission; EmitTrace is then a thread-local read and one pointer compare.
-/// The caller owns the sink and must uninstall it (SetTraceSink(nullptr))
+/// The caller owns the ring and must uninstall it (SetTraceSink(nullptr))
 /// before destroying it. Tests and benches install it; statements that
 /// capture their own spans (`trace <stmt>`, slow-statement capture) use a
 /// ScopedTraceScope instead, so concurrent statements never share a ring.
-void SetTraceSink(TraceSink* sink);
+/// Every event a ring displaces also bumps the global
+/// `obs.trace.dropped_events` counter (visible in SHOW METRICS).
+void SetTraceSink(Ring<TraceEvent>* sink);
 
-/// The sink this thread's spans and events go to: its scope sink when one
+/// The ring this thread's spans and events go to: its scope sink when one
 /// is installed, else the process-wide sink.
-TraceSink* GetTraceSink();
+Ring<TraceEvent>* GetTraceSink();
 
 inline bool TraceEnabled() { return GetTraceSink() != nullptr; }
 
@@ -89,8 +49,8 @@ inline bool TraceEnabled() { return GetTraceSink() != nullptr; }
 /// wave's scope for that wave. Scopes are thread-local, so statements
 /// running concurrently on other threads never see each other's sink.
 struct TraceScope {
-  /// Private sink; null routes to the process-wide sink.
-  TraceSink* sink = nullptr;
+  /// Private ring; null routes to the process-wide sink.
+  Ring<TraceEvent>* sink = nullptr;
   /// Request id every span started under the scope carries as its
   /// `trace_id` field; 0 outside a request.
   uint64_t trace_id = 0;
@@ -114,8 +74,8 @@ class ScopedTraceScope {
   TraceScope saved_;
 };
 
-/// Delivers `event` to the installed sink, if any.
-void EmitTrace(const TraceEvent& event);
+/// Records `event` into this thread's sink, if any.
+void EmitTrace(TraceEvent event);
 
 }  // namespace deltamon::obs
 

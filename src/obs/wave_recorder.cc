@@ -1,5 +1,6 @@
 #include "obs/wave_recorder.h"
 
+#include <atomic>
 #include <utility>
 
 namespace deltamon::obs {
@@ -213,51 +214,28 @@ Json WaveRecord::OutcomeJson() const {
   return out;
 }
 
-void WaveRecorder::Record(WaveRecord record) {
-  std::lock_guard<std::mutex> lock(mu_);
-  record.seq = total_records_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (capacity_ == 0) {
-    dropped_records_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  if (records_.size() == capacity_) {
-    records_.pop_front();
-    dropped_records_.fetch_add(1, std::memory_order_relaxed);
-  }
-  records_.push_back(std::move(record));
-}
-
-std::vector<WaveRecord> WaveRecorder::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return std::vector<WaveRecord>(records_.begin(), records_.end());
-}
-
-void WaveRecorder::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  records_.clear();
-  // A cleared ring is a fresh recording: seq restarts at 1 and the
-  // overflow counter describes only the current capture session.
-  total_records_.store(0, std::memory_order_relaxed);
-  dropped_records_.store(0, std::memory_order_relaxed);
-}
-
-WaveLog& GlobalWaveRecorder() {
-  static WaveLog* recorder = new WaveLog();
+Ring<WaveRecord, kObsEnabled>& GlobalWaveRecorder() {
+  static auto* recorder = new Ring<WaveRecord, kObsEnabled>(/*capacity=*/64);
   return *recorder;
 }
 
-Json WaveFileJson(const std::vector<WaveRecord>& records, bool enabled,
-                  size_t capacity, uint64_t total, uint64_t dropped) {
-  Json waves = Json::Array();
-  for (const WaveRecord& r : records) waves.Append(r.ToJson());
+namespace {
+std::atomic<bool> g_wave_capture_enabled{false};
+}  // namespace
+
+bool WaveCaptureEnabled() {
+  return g_wave_capture_enabled.load(std::memory_order_relaxed);
+}
+
+void SetWaveCaptureEnabled(bool on) {
+  g_wave_capture_enabled.store(on, std::memory_order_relaxed);
+}
+
+Json WaveFileJson(const RingView<WaveRecord>& view, bool enabled) {
   Json out = Json::Object();
   out.Set("schema", "deltamon.wave.v1");
   out.Set("enabled", enabled);
-  out.Set("capacity", static_cast<int64_t>(capacity));
-  out.Set("total_records", static_cast<int64_t>(total));
-  out.Set("dropped_records", static_cast<int64_t>(dropped));
-  out.Set("waves", std::move(waves));
-  return out;
+  return RingJson(std::move(out), view, "waves");
 }
 
 Result<std::vector<WaveRecord>> ParseWaveFile(const std::string& text) {

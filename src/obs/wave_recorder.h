@@ -1,16 +1,13 @@
 #ifndef DELTAMON_OBS_WAVE_RECORDER_H_
 #define DELTAMON_OBS_WAVE_RECORDER_H_
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/tuple.h"
 #include "obs/json.h"
-#include "obs/metrics.h"  // DELTAMON_OBS_ENABLED
+#include "obs/ring.h"
 
 /// --- Wave capture (black-box recorder) --------------------------------------
 ///
@@ -18,11 +15,12 @@
 /// snapshots every check-phase propagation round: the influent
 /// base-relation Δ-sets it consumed, the engine settings it ran with
 /// (threads, kernels), the net root Δ-sets it produced, and the rule
-/// firings that followed. The last K waves live in a bounded ring served
-/// by /debug/waves and dumped to a `deltamon.wave.v1` file by
-/// `dump waves "path";` — which tools/deltamon-replay re-executes against
-/// a rebuilt engine, asserting bit-identical outcomes (the deterministic
-/// black-box recorder: docs/observability.md).
+/// firings that followed. The last K waves live in a Ring<WaveRecord>
+/// (compiled out under -DDELTAMON_OBS=OFF) served by /debug/waves and
+/// dumped to a `deltamon.wave.v1` file by `dump waves "path";` — which
+/// tools/deltamon-replay re-executes against a rebuilt engine, asserting
+/// bit-identical outcomes (the deterministic black-box recorder:
+/// docs/observability.md).
 ///
 /// Rows are stored as real Tuples (the obs layer sits above common) and
 /// serialized as typed cells, so the file round-trips every Value kind —
@@ -58,7 +56,7 @@ struct WaveRelationDelta {
 
 /// One captured propagation round of a check phase.
 struct WaveRecord {
-  uint64_t seq = 0;  ///< assigned by WaveRecorder::Record; 1-based
+  uint64_t seq = 0;  ///< assigned by Ring::Record; 1-based
   uint64_t trace_id = 0;
   uint64_t version = 0;  ///< commit version; 0 outside the txn manager
   uint64_t round = 0;    ///< 1-based round within the check phase; rounds
@@ -83,67 +81,18 @@ struct WaveRecord {
   Json OutcomeJson() const;
 };
 
-/// Bounded ring of the most recent waves plus the enable flag; same
-/// locking discipline as the FlightRecorder (appends happen once per
-/// propagation round, far off the per-tuple hot path).
-class WaveRecorder {
- public:
-  explicit WaveRecorder(size_t capacity = 64) : capacity_(capacity) {}
-  WaveRecorder(const WaveRecorder&) = delete;
-  WaveRecorder& operator=(const WaveRecorder&) = delete;
+/// The process-wide wave ring behind `dump waves` and /debug/waves.
+Ring<WaveRecord, kObsEnabled>& GlobalWaveRecorder();
 
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void set_enabled(bool on) {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
-
-  /// Appends, assigning record.seq (monotonic, survives ring overflow).
-  void Record(WaveRecord record);
-  std::vector<WaveRecord> Snapshot() const;
-  uint64_t total_records() const {
-    return total_records_.load(std::memory_order_relaxed);
-  }
-  uint64_t dropped_records() const {
-    return dropped_records_.load(std::memory_order_relaxed);
-  }
-  size_t capacity() const { return capacity_; }
-  void Clear();
-
- private:
-  const size_t capacity_;
-  std::atomic<bool> enabled_{false};
-  mutable std::mutex mu_;
-  std::atomic<uint64_t> total_records_{0};
-  std::atomic<uint64_t> dropped_records_{0};
-  std::deque<WaveRecord> records_;
-};
-
-/// Compiled-out twin; /debug/waves keeps serving valid empty documents.
-struct NullWaveRecorder {
-  bool enabled() const { return false; }
-  void set_enabled(bool) {}
-  void Record(const WaveRecord&) {}
-  std::vector<WaveRecord> Snapshot() const { return {}; }
-  uint64_t total_records() const { return 0; }
-  uint64_t dropped_records() const { return 0; }
-  size_t capacity() const { return 0; }
-  void Clear() {}
-};
-
-#if DELTAMON_OBS_ENABLED
-using WaveLog = WaveRecorder;
-#else
-using WaveLog = NullWaveRecorder;
-#endif
-
-/// The process-wide recorder behind `dump waves` and /debug/waves.
-WaveLog& GlobalWaveRecorder();
+/// Whether wave capture is on, as the rule manager last set it; the
+/// documents report it. Always false under OBS=OFF.
+bool WaveCaptureEnabled();
+void SetWaveCaptureEnabled(bool on);
 
 /// The `deltamon.wave.v1` document: {schema, enabled?, capacity,
 /// total_records, dropped_records, waves: [WaveRecord.ToJson()...]}.
 /// Also the /debug/waves document.
-Json WaveFileJson(const std::vector<WaveRecord>& records, bool enabled,
-                  size_t capacity, uint64_t total, uint64_t dropped);
+Json WaveFileJson(const RingView<WaveRecord>& view, bool enabled);
 
 /// Strict loader: parses, checks schema == "deltamon.wave.v1", decodes
 /// every wave. Used by deltamon-replay.

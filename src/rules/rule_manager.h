@@ -165,24 +165,24 @@ class RuleManager {
   /// Row-level firing provenance (`set provenance on|off`): incremental
   /// waves capture delta lineage (PropagationOptions::lineage) and every
   /// firing records its instances' lineage trees — stamped with the
-  /// current trace id and commit version — into the global ProvenanceLog
-  /// behind `explain firing` / /debug/provenance. Forced off when
+  /// current trace id and commit version — into the global provenance
+  /// ring behind `explain firing` / /debug/provenance. Forced off when
   /// observability is compiled out (the session layer reports the error);
   /// off (the default) adds zero work to the check phase.
   void SetProvenanceEnabled(bool on) {
     provenance_enabled_ = on && DELTAMON_OBS_ENABLED != 0;
-    obs::GlobalProvenanceLog().set_enabled(provenance_enabled_);
+    obs::SetProvenanceEnabled(provenance_enabled_);
   }
   bool provenance_enabled() const { return provenance_enabled_; }
 
   /// Wave capture (`set wave_capture on|off`): every incremental round is
   /// snapshotted — influent Δ-sets, settings, net root Δ-sets, firings —
-  /// into the global WaveRecorder behind `dump waves` / /debug/waves,
+  /// into the global wave ring behind `dump waves` / /debug/waves,
   /// replayable by tools/deltamon-replay. Forced off when observability is
   /// compiled out.
   void SetWaveCaptureEnabled(bool on) {
     wave_capture_enabled_ = on && DELTAMON_OBS_ENABLED != 0;
-    obs::GlobalWaveRecorder().set_enabled(wave_capture_enabled_);
+    obs::SetWaveCaptureEnabled(wave_capture_enabled_);
   }
   bool wave_capture_enabled() const { return wave_capture_enabled_; }
 
@@ -196,7 +196,7 @@ class RuleManager {
   /// Delta lineage accumulated over the last check phase's incremental
   /// waves (empty unless provenance is enabled). Exposed for the
   /// determinism tests; `explain firing` reads the pre-rendered trees in
-  /// the ProvenanceLog instead.
+  /// the provenance ring instead.
   const core::WaveLineage& last_lineage() const { return lineage_; }
 
   /// PF-style evaluation (paper §2 contrast): keep every derived network

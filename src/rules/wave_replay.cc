@@ -56,7 +56,7 @@ Result<WaveReplayReport> ReplayWaves(
 
   rules.SetWaveCaptureEnabled(false);
   const std::vector<obs::WaveRecord> replayed =
-      obs::GlobalWaveRecorder().Snapshot();
+      obs::GlobalWaveRecorder().Snapshot().items;
 
   if (replayed.size() != recorded.size()) {
     report.mismatches.push_back(

@@ -186,6 +186,9 @@ void TransactionManager::CommitBatch(const std::vector<Waiter*>& batch) {
       }
       version_.store(next_version, std::memory_order_release);
       db_.CommitWithoutCheck();
+      // The wave's commit time, validation through publish: the same
+      // db.commit_ns series Database::Commit feeds for in-process commits.
+      DELTAMON_OBS_RECORD("db.commit_ns", NowNs() - start_ns);
 
       const uint64_t batch_id = ++batch_counter_;
       DELTAMON_OBS_COUNT("txn.batches", 1);

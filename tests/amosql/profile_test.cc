@@ -86,6 +86,20 @@ TEST_F(ProfileTest, ProfileCommitReportsMetricDelta) {
   EXPECT_EQ(rows->rows[0][0], Value(10));
 }
 
+TEST_F(ProfileTest, ProfileCommitShowsTheWaveCommitTime) {
+  // A session commit goes through the transaction manager, whose commit
+  // leader times the wave (validation through publish) into the same
+  // db.commit_ns histogram Database::Commit feeds.
+  std::string report = Report(
+      "set quantity(:b) = 5;"
+      "profile commit;");
+#if DELTAMON_OBS_ENABLED
+  EXPECT_NE(report.find("db.commit_ns"), std::string::npos) << report;
+#else
+  EXPECT_NE(report.find("PROFILE"), std::string::npos) << report;
+#endif
+}
+
 TEST_F(ProfileTest, ProfileSelectReportsEvalWork) {
   std::string report = Report("profile select i for each item i;");
   EXPECT_NE(report.find("PROFILE"), std::string::npos);
@@ -263,8 +277,8 @@ TEST_F(ProfileTest, ConcurrentTracesKeepTheirOwnSpans) {
 }
 
 TEST_F(ProfileTest, ShowSlowRendersTheGlobalSlowLog) {
-  obs::SlowLog::Global().Clear();
-  obs::SlowLog::Global().set_threshold_ns(0);
+  obs::GlobalSlowLog().Clear();
+  obs::SetSlowThresholdNs(0);
   // Empty log: the report still explains itself.
   std::string report = Report("show slow;");
   EXPECT_NE(report.find("SLOW STATEMENTS"), std::string::npos) << report;
@@ -280,13 +294,13 @@ TEST_F(ProfileTest, ShowSlowRendersTheGlobalSlowLog) {
   slow.statement = "commit;";
   slow.elapsed_ns = 12'000'000;
   slow.span_tree = "rules.check_phase 12ms\n";
-  obs::SlowLog::Global().Record(slow);
+  obs::GlobalSlowLog().Record(slow);
   report = Report("show slow;");
   EXPECT_NE(report.find("[trace 5] conn 2 stmt 1: 12.000 ms"),
             std::string::npos)
       << report;
   EXPECT_NE(report.find("rules.check_phase"), std::string::npos) << report;
-  obs::SlowLog::Global().Clear();
+  obs::GlobalSlowLog().Clear();
 }
 
 TEST_F(ProfileTest, ShowNetworkDumpsTopologyStatsAndDot) {

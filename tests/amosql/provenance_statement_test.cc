@@ -37,9 +37,9 @@ class ObsStatementTest : public ::testing::Test {
   }
 
   ~ObsStatementTest() override {
-    obs::GlobalProvenanceLog().set_enabled(false);
+    obs::SetProvenanceEnabled(false);
     obs::GlobalProvenanceLog().Clear();
-    obs::GlobalWaveRecorder().set_enabled(false);
+    obs::SetWaveCaptureEnabled(false);
     obs::GlobalWaveRecorder().Clear();
   }
 
@@ -60,16 +60,16 @@ TEST_F(ObsStatementTest, ParserRejectsMalformedStatements) {
 }
 
 TEST_F(ObsStatementTest, SlowMsWorksInEveryBuild) {
-  const uint64_t before = obs::SlowLog::Global().threshold_ns();
+  const uint64_t before = obs::SlowThresholdNs();
   auto r = Exec("set slow_ms 250;");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_NE(r->report.find("SLOW_MS 250"), std::string::npos);
-  EXPECT_EQ(obs::SlowLog::Global().threshold_ns(), 250u * 1000000u);
+  EXPECT_EQ(obs::SlowThresholdNs(), 250u * 1000000u);
 
   r = Exec("show settings;");
   ASSERT_TRUE(r.ok());
   EXPECT_NE(r->report.find("slow_ms 250"), std::string::npos);
-  obs::SlowLog::Global().set_threshold_ns(before);
+  obs::SetSlowThresholdNs(before);
 }
 
 #if DELTAMON_OBS_ENABLED

@@ -905,8 +905,8 @@ TEST_P(ProvenanceSessionFuzzTest, LineageAndWavesDeterministicAndReplayable) {
     harness->engine_.rules.SetProvenanceEnabled(false);
     harness->engine_.rules.SetWaveCaptureEnabled(false);
     return std::make_pair(
-        CanonicalFirings(obs::GlobalProvenanceLog().Snapshot()),
-        obs::GlobalWaveRecorder().Snapshot());
+        CanonicalFirings(obs::GlobalProvenanceLog().Snapshot().items),
+        obs::GlobalWaveRecorder().Snapshot().items);
   };
 
   auto [reference_firings, captured] = run("set threads 1;");
@@ -931,9 +931,11 @@ TEST_P(ProvenanceSessionFuzzTest, LineageAndWavesDeterministicAndReplayable) {
   }
 
   // File round trip: dump -> parse must reproduce the records exactly.
-  const obs::Json file = obs::WaveFileJson(captured, /*enabled=*/true,
-                                           /*capacity=*/64, captured.size(),
-                                           /*dropped=*/0);
+  const obs::Json file = obs::WaveFileJson({.items = captured,
+                                            .capacity = 64,
+                                            .total = captured.size(),
+                                            .dropped = 0},
+                                           /*enabled=*/true);
   auto reparsed = obs::ParseWaveFile(file.Dump());
   ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
   ASSERT_EQ(reparsed->size(), captured.size());

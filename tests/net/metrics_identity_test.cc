@@ -36,13 +36,14 @@ std::string StripUptime(const std::string& body) {
 
 TEST(MetricsIdentity, SessionAndHttpRenderIdenticalBytes) {
   // Seed the global registry with every metric kind so the comparison is
-  // over a non-trivial document.
+  // over a non-trivial document. These are operational series, recorded
+  // in every build, so the seeding uses the always-compiled macros.
   obs::Registry::Global().Reset();
-  DELTAMON_OBS_COUNT("net.connections_accepted", 3);
-  DELTAMON_OBS_COUNT("net.bytes_in", 1234);
-  DELTAMON_OBS_GAUGE_SET("net.connections_active", 2);
-  DELTAMON_OBS_RECORD("net.statement_latency_ns", 1000);
-  DELTAMON_OBS_RECORD("net.statement_latency_ns", 2000000);
+  DELTAMON_METRIC_COUNT("net.connections_accepted", 3);
+  DELTAMON_METRIC_COUNT("net.bytes_in", 1234);
+  DELTAMON_METRIC_GAUGE_SET("net.connections_active", 2);
+  DELTAMON_METRIC_RECORD("net.statement_latency_ns", 1000);
+  DELTAMON_METRIC_RECORD("net.statement_latency_ns", 2000000);
 
   Engine engine;
   amosql::Session session(engine);
@@ -67,7 +68,7 @@ TEST(MetricsIdentity, SessionAndHttpRenderIdenticalBytes) {
 
 TEST(MetricsIdentity, HttpHandlerServesTheSharedBody) {
   obs::Registry::Global().Reset();
-  DELTAMON_OBS_COUNT("net.frames_in", 7);
+  DELTAMON_METRIC_COUNT("net.frames_in", 7);
   const std::string response =
       HandleAdminRequest("GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
   // The response body after the blank line is exactly MetricsBody().
@@ -110,8 +111,8 @@ TEST(MetricsIdentity, SnapshotIsSafeFromNonEngineThreads) {
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([] {
       for (int i = 0; i < kIncrementsPerWriter; ++i) {
-        DELTAMON_OBS_COUNT("net.race_probe", 1);
-        DELTAMON_OBS_RECORD("net.race_probe_ns", i);
+        DELTAMON_METRIC_COUNT("net.race_probe", 1);
+        DELTAMON_METRIC_RECORD("net.race_probe_ns", i);
       }
     });
   }

@@ -37,14 +37,14 @@ class TracingFixture : public ::testing::Test {
     // The recorder and slow log are process globals shared by every test
     // in this binary: start from a clean slate.
     obs::GlobalRequestRecorder().Clear();
-    obs::SlowLog::Global().Clear();
-    obs::SlowLog::Global().set_threshold_ns(0);
+    obs::GlobalSlowLog().Clear();
+    obs::SetSlowThresholdNs(0);
   }
 
   void TearDown() override {
     if (server_) server_->Stop();
-    obs::SlowLog::Global().set_threshold_ns(0);
-    obs::SlowLog::Global().Clear();
+    obs::SetSlowThresholdNs(0);
+    obs::GlobalSlowLog().Clear();
   }
 
   void StartServer(ServerOptions options = {}) {
@@ -102,7 +102,8 @@ std::vector<obs::RequestRecord> WaitForRecords(const std::string& statement,
                                                size_t want) {
   for (int attempt = 0; attempt < 200; ++attempt) {
     std::vector<obs::RequestRecord> matching;
-    for (obs::RequestRecord& r : obs::GlobalRequestRecorder().Snapshot()) {
+    for (obs::RequestRecord& r :
+         obs::GlobalRequestRecorder().Snapshot().items) {
       if (r.statement == statement) matching.push_back(std::move(r));
     }
     if (matching.size() >= want) return matching;
@@ -124,7 +125,7 @@ TEST_F(TracingFixture, TraceInfoLineFollowsTheHelloFlag) {
   ASSERT_TRUE(traced.ok());
   r = traced->Execute("commit;");
   ASSERT_TRUE(r.ok()) << r.status();
-  if (obs::kRequestTracingEnabled) {
+  if (obs::kObsEnabled) {
     EXPECT_NE(r->report.find("-- trace"), std::string::npos) << r->report;
     EXPECT_NE(r->report.find("queue"), std::string::npos) << r->report;
     EXPECT_NE(r->report.find("exec"), std::string::npos) << r->report;
@@ -152,7 +153,7 @@ TEST_F(TracingFixture, CompletedStatementIsFindableInDebugRequests) {
     ASSERT_TRUE(client->Execute("commit;").ok());
   }
 
-  if (!obs::kRequestTracingEnabled) {
+  if (!obs::kObsEnabled) {
     // OBS=OFF: the endpoint still serves a valid — empty — document.
     auto doc = obs::Json::Parse(
         HttpBody(AdminGet(server_->admin_port(), "/debug/requests")));
@@ -209,7 +210,7 @@ TEST_F(TracingFixture, DebugRequestsTraceIsLoadableChromeJson) {
     ASSERT_TRUE(client.ok());
     ASSERT_TRUE(client->Execute("commit;").ok());
   }
-  if (obs::kRequestTracingEnabled) {
+  if (obs::kObsEnabled) {
     ASSERT_EQ(WaitForRecords("commit;", 1).size(), 1u);
   }
   auto doc = obs::Json::Parse(
@@ -218,7 +219,7 @@ TEST_F(TracingFixture, DebugRequestsTraceIsLoadableChromeJson) {
   const obs::Json* events = doc->Get("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_TRUE(events->is_array());
-  if (obs::kRequestTracingEnabled) {
+  if (obs::kObsEnabled) {
     ASSERT_GE(events->size(), 1u);
     for (const obs::Json& e : events->array_items()) {
       EXPECT_EQ(e.Get("ph")->as_string(), "X");
@@ -230,7 +231,7 @@ TEST_F(TracingFixture, DebugRequestsTraceIsLoadableChromeJson) {
 }
 
 TEST_F(TracingFixture, ConcurrentClientsGetUniqueMonotonicTraceIds) {
-  if (!obs::kRequestTracingEnabled) {
+  if (!obs::kObsEnabled) {
     GTEST_SKIP() << "request tracing is compiled out";
   }
   StartServer();
@@ -287,12 +288,12 @@ TEST_F(TracingFixture, ConcurrentClientsGetUniqueMonotonicTraceIds) {
 }
 
 TEST_F(TracingFixture, SlowStatementCapturesSpanTreeAndProfile) {
-  if (!obs::kRequestTracingEnabled) {
+  if (!obs::kObsEnabled) {
     GTEST_SKIP() << "request tracing is compiled out";
   }
   StartServerWithAdmin();
   // Everything is "slow" at a 1ns threshold; no sleeping required.
-  obs::SlowLog::Global().set_threshold_ns(1);
+  obs::SetSlowThresholdNs(1);
 
   Result<Client> client = Connect();
   ASSERT_TRUE(client.ok());
@@ -313,7 +314,8 @@ TEST_F(TracingFixture, SlowStatementCapturesSpanTreeAndProfile) {
       "commit;");
   ASSERT_TRUE(r.ok()) << r.status();
 
-  const std::vector<obs::SlowRecord> slow = obs::SlowLog::Global().Snapshot();
+  const std::vector<obs::SlowRecord> slow =
+      obs::GlobalSlowLog().Snapshot().items;
   ASSERT_GE(slow.size(), 1u);
   const obs::SlowRecord& last = slow.back();
   EXPECT_GT(last.context.trace_id, 0u);
@@ -358,7 +360,7 @@ size_t CountOf(const std::string& text, const std::string& needle) {
 }
 
 TEST_F(TracingFixture, ConcurrentSlowCapturesKeepTheirOwnSpans) {
-  if (!obs::kRequestTracingEnabled) {
+  if (!obs::kObsEnabled) {
     GTEST_SKIP() << "request tracing is compiled out";
   }
   ServerOptions options;
@@ -377,7 +379,7 @@ TEST_F(TracingFixture, ConcurrentSlowCapturesKeepTheirOwnSpans) {
                     .ok());
   }
   // Everything is "slow" at a 1ns threshold.
-  obs::SlowLog::Global().set_threshold_ns(1);
+  obs::SetSlowThresholdNs(1);
 
   // Two connections commit at once. Each statement's spans go to its own
   // private ring, and each captured commit runs alone in its wave. The
@@ -415,7 +417,7 @@ TEST_F(TracingFixture, ConcurrentSlowCapturesKeepTheirOwnSpans) {
 
   std::set<uint64_t> connections;
   size_t commits = 0;
-  for (const obs::SlowRecord& slow : obs::SlowLog::Global().Snapshot()) {
+  for (const obs::SlowRecord& slow : obs::GlobalSlowLog().Snapshot().items) {
     if (slow.statement.find("commit;") == std::string::npos) continue;
     ++commits;
     connections.insert(slow.context.connection_id);
@@ -473,7 +475,7 @@ TEST_F(TracingFixture, DebugNetworkServesDotForActiveRules) {
 // recorder and slow log while the admin thread renders /debug documents
 // from them. No server needed — this drives the exact shared state.
 TEST_F(TracingFixture, ConcurrentRecorderWritesAndAdminReadsAreClean) {
-  obs::SlowLog::Global().set_threshold_ns(1);
+  obs::SetSlowThresholdNs(1);
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
   for (int w = 0; w < 4; ++w) {
@@ -496,7 +498,7 @@ TEST_F(TracingFixture, ConcurrentRecorderWritesAndAdminReadsAreClean) {
         slow.context.trace_id = ordinal;
         slow.statement = "commit;";
         slow.elapsed_ns = 10;
-        obs::SlowLog::Global().Record(std::move(slow));
+        obs::GlobalSlowLog().Record(std::move(slow));
       }
     });
   }
@@ -517,8 +519,54 @@ TEST_F(TracingFixture, ConcurrentRecorderWritesAndAdminReadsAreClean) {
   for (std::thread& t : writers) t.join();
   reader.join();
   // The recorder stayed bounded no matter how fast the writers ran.
-  EXPECT_LE(obs::GlobalRequestRecorder().Snapshot().size(),
+  EXPECT_LE(obs::GlobalRequestRecorder().Snapshot().items.size(),
             obs::GlobalRequestRecorder().capacity());
+  obs::GlobalRequestRecorder().Clear();
+}
+
+/// Value of the response header `name` as an integer; -1 when absent.
+int64_t HeaderValue(const std::string& response, const std::string& name) {
+  const size_t pos = response.find("\r\n" + name + ": ");
+  if (pos == std::string::npos) return -1;
+  return std::stoll(response.substr(pos + name.size() + 4));
+}
+
+// The X-Deltamon-Flight-* headers and the /debug/requests body come from
+// one snapshot: while writers race the admin reader, every response's
+// headers equal its body's tallies, and the body holds total - dropped
+// records, never more than capacity.
+TEST_F(TracingFixture, DebugRequestsHeadersMatchTheBody) {
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 3; ++w) {
+    writers.emplace_back([&stop] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        obs::RequestRecord r;
+        r.context.trace_id = obs::NextTraceId();
+        r.statement = "commit;";
+        obs::GlobalRequestRecorder().Record(std::move(r));
+      }
+    });
+  }
+  int responses = 0;
+  for (; responses < 200; ++responses) {
+    const std::string response =
+        HandleAdminRequest("GET /debug/requests HTTP/1.1\r\n\r\n");
+    auto doc = obs::Json::Parse(HttpBody(response));
+    ASSERT_TRUE(doc.ok()) << doc.status();
+    const int64_t capacity = doc->Get("capacity")->as_int();
+    const int64_t total = doc->Get("total_records")->as_int();
+    const int64_t dropped = doc->Get("dropped_records")->as_int();
+    const int64_t items = static_cast<int64_t>(doc->Get("requests")->size());
+    ASSERT_EQ(HeaderValue(response, "X-Deltamon-Flight-Capacity"), capacity);
+    ASSERT_EQ(HeaderValue(response, "X-Deltamon-Flight-Total"), total);
+    ASSERT_EQ(HeaderValue(response, "X-Deltamon-Flight-Dropped"), dropped);
+    ASSERT_EQ(items, total - dropped);
+    ASSERT_LE(items, capacity);
+  }
+  stop.store(true);
+  for (std::thread& t : writers) t.join();
+  EXPECT_EQ(responses, 200);
   obs::GlobalRequestRecorder().Clear();
 }
 

@@ -1,8 +1,8 @@
 /// Request tracing primitives: the trace-id mint, phase arithmetic on
-/// RequestRecord, the bounded FlightRecorder ring with its non-silent
-/// dropped counter, the /debug/requests and Chrome-trace JSON documents,
-/// the SlowLog ring + report formatter, and (when obs is compiled in)
-/// the thread-scoped trace id (ScopedTraceScope) stamping every span.
+/// RequestRecord, the bounded Ring<T> with its non-silent dropped tally and
+/// its one Clear rule, the /debug/requests and Chrome-trace JSON documents,
+/// the slow log + report formatter, and (when obs is compiled in) the
+/// thread-scoped trace id (ScopedTraceScope) stamping every span.
 
 #include "obs/flight_recorder.h"
 
@@ -98,50 +98,70 @@ TEST(RequestRecordTest, ToJsonRoundTripsThroughTheParser) {
 }
 
 TEST(FlightRecorderTest, RingEvictsOldestAndCountsDrops) {
-  FlightRecorder recorder(/*capacity=*/4);
-  for (uint64_t id = 1; id <= 10; ++id) recorder.Record(MakeRecord(id));
-  const std::vector<RequestRecord> snapshot = recorder.Snapshot();
-  ASSERT_EQ(snapshot.size(), 4u);
+  Ring<RequestRecord> recorder(/*capacity=*/4);
+  for (uint64_t id = 1; id <= 10; ++id) {
+    EXPECT_EQ(recorder.Record(MakeRecord(id)), id);  // 1-based sequence
+  }
+  const RingView<RequestRecord> view = recorder.Snapshot();
+  ASSERT_EQ(view.items.size(), 4u);
   // Oldest-to-newest: the survivors are the most recent four.
-  EXPECT_EQ(snapshot.front().context.trace_id, 7u);
-  EXPECT_EQ(snapshot.back().context.trace_id, 10u);
-  EXPECT_EQ(recorder.total_records(), 10u);
-  EXPECT_EQ(recorder.dropped_records(), 6u);
+  EXPECT_EQ(view.items[0].context.trace_id, 7u);
+  EXPECT_EQ(view.items[1].context.trace_id, 8u);
+  EXPECT_EQ(view.items[2].context.trace_id, 9u);
+  EXPECT_EQ(view.items[3].context.trace_id, 10u);
+  EXPECT_EQ(view.total, 10u);
+  EXPECT_EQ(view.dropped, 6u);
+  EXPECT_EQ(view.capacity, 4u);
   EXPECT_EQ(recorder.capacity(), 4u);
 }
 
-TEST(FlightRecorderTest, ClearEmptiesTheRingButKeepsTheTallies) {
-  FlightRecorder recorder(/*capacity=*/2);
+TEST(FlightRecorderTest, ClearStartsAFreshRecording) {
+  Ring<RequestRecord> recorder(/*capacity=*/2);
   recorder.Record(MakeRecord(1));
   recorder.Record(MakeRecord(2));
   recorder.Record(MakeRecord(3));
   recorder.Clear();
-  EXPECT_TRUE(recorder.Snapshot().empty());
-  EXPECT_EQ(recorder.total_records(), 3u);
-  EXPECT_EQ(recorder.dropped_records(), 1u);
+  RingView<RequestRecord> view = recorder.Snapshot();
+  EXPECT_TRUE(view.items.empty());
+  EXPECT_EQ(view.total, 0u);
+  EXPECT_EQ(view.dropped, 0u);
+  // The sequence restarts with the tallies, and the ring refills in order.
+  EXPECT_EQ(recorder.Record(MakeRecord(4)), 1u);
+  EXPECT_EQ(recorder.Record(MakeRecord(5)), 2u);
+  view = recorder.Snapshot();
+  ASSERT_EQ(view.items.size(), 2u);
+  EXPECT_EQ(view.items[0].context.trace_id, 4u);
+  EXPECT_EQ(view.items[1].context.trace_id, 5u);
+  EXPECT_EQ(view.dropped, 0u);
 }
 
 TEST(FlightRecorderTest, ZeroCapacityDropsEverything) {
-  FlightRecorder recorder(/*capacity=*/0);
-  recorder.Record(MakeRecord(1));
-  EXPECT_TRUE(recorder.Snapshot().empty());
-  EXPECT_EQ(recorder.dropped_records(), 1u);
-  EXPECT_EQ(recorder.total_records(), 1u);
+  Ring<RequestRecord> recorder(/*capacity=*/0);
+  EXPECT_GT(recorder.Record(MakeRecord(1)), recorder.capacity());
+  const RingView<RequestRecord> view = recorder.Snapshot();
+  EXPECT_TRUE(view.items.empty());
+  EXPECT_EQ(view.dropped, 1u);
+  EXPECT_EQ(view.total, 1u);
 }
 
 TEST(FlightRecorderTest, NullRecorderIsInertButValid) {
-  NullFlightRecorder recorder;
-  recorder.Record(RequestRecord{});
-  EXPECT_TRUE(recorder.Snapshot().empty());
-  EXPECT_EQ(recorder.total_records(), 0u);
-  EXPECT_EQ(recorder.dropped_records(), 0u);
+  // The compiled-out ring every OBS=OFF capture point uses.
+  Ring<RequestRecord, /*kEnabled=*/false> recorder(/*capacity=*/256);
+  EXPECT_EQ(recorder.Record(MakeRecord(1)), 0u);
+  recorder.Clear();
+  const RingView<RequestRecord> view = recorder.Snapshot();
+  EXPECT_TRUE(view.items.empty());
+  EXPECT_EQ(view.total, 0u);
+  EXPECT_EQ(view.dropped, 0u);
+  EXPECT_EQ(view.capacity, 0u);
   EXPECT_EQ(recorder.capacity(), 0u);
 }
 
 TEST(FlightRecorderTest, DebugRequestsDocumentIsWellFormed) {
-  const Json doc =
-      FlightRecorderJson({MakeRecord(1), MakeRecord(2)}, /*capacity=*/256,
-                         /*total=*/9, /*dropped=*/7);
+  const Json doc = FlightRecorderJson({.items = {MakeRecord(1), MakeRecord(2)},
+                                       .capacity = 256,
+                                       .total = 9,
+                                       .dropped = 7});
   auto parsed = Json::Parse(doc.Dump());
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_EQ(parsed->Get("capacity")->as_int(), 256);
@@ -155,7 +175,7 @@ TEST(FlightRecorderTest, DebugRequestsDocumentIsWellFormed) {
 }
 
 TEST(FlightRecorderTest, EmptyDocumentIsStillValidJson) {
-  auto parsed = Json::Parse(FlightRecorderJson({}, 0, 0, 0).Dump());
+  auto parsed = Json::Parse(FlightRecorderJson({}).Dump());
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_EQ(parsed->Get("requests")->size(), 0u);
 }
@@ -191,10 +211,9 @@ TEST(ChromeTraceTest, AbortedRequestsSkipUnreachedPhases) {
 }
 
 TEST(SlowLogTest, RecordsAreBoundedAndFormatted) {
-  SlowLog& log = SlowLog::Global();
+  Ring<SlowRecord>& log = GlobalSlowLog();
   log.Clear();
-  const uint64_t total_before = log.total_records();
-  log.set_threshold_ns(5'000'000);
+  SetSlowThresholdNs(5'000'000);
 
   SlowRecord slow;
   slow.context.trace_id = 99;
@@ -206,11 +225,12 @@ TEST(SlowLogTest, RecordsAreBoundedAndFormatted) {
   slow.profile_text = "  quantity(i) < 10: 1 evals\n";
   log.Record(slow);
 
-  EXPECT_EQ(log.total_records(), total_before + 1);
-  ASSERT_EQ(log.Snapshot().size(), 1u);
-  EXPECT_EQ(log.Snapshot()[0].context.trace_id, 99u);
+  const RingView<SlowRecord> view = log.Snapshot();
+  EXPECT_EQ(view.total, 1u);
+  ASSERT_EQ(view.items.size(), 1u);
+  EXPECT_EQ(view.items[0].context.trace_id, 99u);
 
-  const std::string report = log.Format();
+  const std::string report = FormatSlowLog(view, SlowThresholdNs());
   EXPECT_NE(report.find("SLOW STATEMENTS (threshold 5.000 ms"),
             std::string::npos)
       << report;
@@ -223,37 +243,37 @@ TEST(SlowLogTest, RecordsAreBoundedAndFormatted) {
   EXPECT_NE(report.find("      rules.round"), std::string::npos) << report;
   EXPECT_NE(report.find("  profile:"), std::string::npos) << report;
 
-  auto parsed = Json::Parse(log.ToJson().Dump());
+  auto parsed = Json::Parse(SlowLogJson(view, SlowThresholdNs()).Dump());
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_EQ(parsed->Get("threshold_ns")->as_int(), 5'000'000);
   ASSERT_EQ(parsed->Get("slow")->size(), 1u);
   EXPECT_EQ(parsed->Get("slow")->at(0).Get("trace_id")->as_int(), 99);
 
-  log.set_threshold_ns(0);
+  SetSlowThresholdNs(0);
   log.Clear();
 }
 
 TEST(SlowLogTest, DisabledThresholdReportsOff) {
-  SlowLog& log = SlowLog::Global();
-  log.Clear();
-  log.set_threshold_ns(0);
-  EXPECT_NE(log.Format().find("threshold off, 0 recorded"), std::string::npos);
+  GlobalSlowLog().Clear();
+  SetSlowThresholdNs(0);
+  EXPECT_NE(FormatSlowLog(GlobalSlowLog().Snapshot(), SlowThresholdNs())
+                .find("threshold off, 0 recorded"),
+            std::string::npos);
 }
 
 TEST(SlowLogTest, OverflowEvictsOldestAndCountsDrops) {
-  SlowLog& log = SlowLog::Global();
+  Ring<SlowRecord>& log = GlobalSlowLog();
   log.Clear();
-  const uint64_t dropped_before = log.dropped_records();
   for (uint64_t id = 1; id <= log.capacity() + 5; ++id) {
     SlowRecord r;
     r.context.trace_id = id;
     log.Record(r);
   }
-  const std::vector<SlowRecord> snapshot = log.Snapshot();
-  ASSERT_EQ(snapshot.size(), log.capacity());
-  EXPECT_EQ(snapshot.front().context.trace_id, 6u);
-  EXPECT_EQ(log.dropped_records(), dropped_before + 5);
-  EXPECT_NE(log.Format().find("dropped"), std::string::npos);
+  const RingView<SlowRecord> view = log.Snapshot();
+  ASSERT_EQ(view.items.size(), log.capacity());
+  EXPECT_EQ(view.items.front().context.trace_id, 6u);
+  EXPECT_EQ(view.dropped, 5u);
+  EXPECT_NE(FormatSlowLog(view, 0).find("5 dropped"), std::string::npos);
   log.Clear();
 }
 
@@ -274,8 +294,8 @@ TEST(ScopedTraceIdTest, NestsAndRestores) {
 }
 
 TEST(ScopedTraceIdTest, SpansInheritTheCurrentTraceId) {
-  RingTraceSink ring(16);
-  TraceSink* previous = GetTraceSink();
+  Ring<TraceEvent> ring(16);
+  Ring<TraceEvent>* previous = GetTraceSink();
   SetTraceSink(&ring);
   SetEnabled(true);
   {
@@ -285,10 +305,11 @@ TEST(ScopedTraceIdTest, SpansInheritTheCurrentTraceId) {
   { Span untraced("net", "idle"); }
   SetTraceSink(previous);
 
-  ASSERT_EQ(ring.events().size(), 2u);
-  EXPECT_EQ(SpanField(ring.events()[0], "trace_id", 0), 1234);
+  const std::vector<TraceEvent> events = ring.Snapshot().items;
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(SpanField(events[0], "trace_id", 0), 1234);
   // Outside a request, spans carry no trace_id field at all.
-  EXPECT_EQ(SpanField(ring.events()[1], "trace_id", -1), -1);
+  EXPECT_EQ(SpanField(events[1], "trace_id", -1), -1);
 }
 
 #endif  // DELTAMON_OBS_ENABLED

@@ -10,10 +10,9 @@
 namespace deltamon::obs {
 namespace {
 
-// The value/tuple codec and the ring classes are plain data structures
-// with no engine dependency, so these tests run identically (and the
-// Null twins keep them compiling) in OBS=ON and OBS=OFF builds — the
-// suite only exercises the real classes, which exist in both.
+// The value/tuple codec and Ring<T> are plain data structures with no
+// engine dependency, so these tests run identically in OBS=ON and OBS=OFF
+// builds: they use the always-enabled Ring<T>, which exists in both.
 
 TEST(WaveCodecTest, EveryValueKindRoundTrips) {
   const std::vector<Value> values = {
@@ -111,8 +110,9 @@ TEST(WaveRecordTest, OutcomeJsonExcludesIdentityAndSettings) {
 
 TEST(WaveFileTest, DumpParsesBackExactly) {
   std::vector<WaveRecord> waves = {SampleWave(1, 1), SampleWave(2, 2)};
-  const Json file = WaveFileJson(waves, /*enabled=*/true, /*capacity=*/64,
-                                 /*total=*/2, /*dropped=*/0);
+  const Json file = WaveFileJson(
+      {.items = waves, .capacity = 64, .total = 2, .dropped = 0},
+      /*enabled=*/true);
   EXPECT_EQ(file.Get("schema")->as_string(), "deltamon.wave.v1");
   auto back = ParseWaveFile(file.Dump());
   ASSERT_TRUE(back.ok()) << back.status().ToString();
@@ -124,25 +124,25 @@ TEST(WaveFileTest, DumpParsesBackExactly) {
 TEST(WaveFileTest, RejectsWrongSchemaAndMalformedInput) {
   EXPECT_FALSE(ParseWaveFile("not json").ok());
   EXPECT_FALSE(ParseWaveFile("{}").ok());
-  Json file = WaveFileJson({}, true, 64, 0, 0);
+  Json file = WaveFileJson({}, /*enabled=*/true);
   file.Set("schema", "deltamon.wave.v2");
   EXPECT_FALSE(ParseWaveFile(file.Dump()).ok());
 }
 
 TEST(WaveRecorderTest, RingOverflowKeepsNewestAndCountsDrops) {
-  WaveRecorder recorder(2);
-  recorder.set_enabled(true);
+  Ring<WaveRecord> recorder(2);
   for (uint64_t i = 0; i < 5; ++i) recorder.Record(SampleWave(0, i + 1));
-  EXPECT_EQ(recorder.total_records(), 5u);
-  EXPECT_EQ(recorder.dropped_records(), 3u);
-  auto snapshot = recorder.Snapshot();
-  ASSERT_EQ(snapshot.size(), 2u);
+  RingView<WaveRecord> view = recorder.Snapshot();
+  EXPECT_EQ(view.total, 5u);
+  EXPECT_EQ(view.dropped, 3u);
+  ASSERT_EQ(view.items.size(), 2u);
   // seq is assigned by Record and survives the overflow.
-  EXPECT_EQ(snapshot[0].seq, 4u);
-  EXPECT_EQ(snapshot[1].seq, 5u);
+  EXPECT_EQ(view.items[0].seq, 4u);
+  EXPECT_EQ(view.items[1].seq, 5u);
   recorder.Clear();
-  EXPECT_TRUE(recorder.Snapshot().empty());
-  EXPECT_EQ(recorder.total_records(), 0u);
+  view = recorder.Snapshot();
+  EXPECT_TRUE(view.items.empty());
+  EXPECT_EQ(view.total, 0u);
 }
 
 FiringRecord SampleFiring(const std::string& rule) {
@@ -161,23 +161,24 @@ FiringRecord SampleFiring(const std::string& rule) {
 }
 
 TEST(ProvenanceLogTest, RingOverflowKeepsNewestAndCountsDrops) {
-  ProvenanceLog log(2);
-  log.set_enabled(true);
+  Ring<FiringRecord> log(2);
   for (int i = 0; i < 3; ++i) log.Record(SampleFiring("r" + std::to_string(i)));
-  EXPECT_EQ(log.total_records(), 3u);
-  EXPECT_EQ(log.dropped_records(), 1u);
-  auto snapshot = log.Snapshot();
-  ASSERT_EQ(snapshot.size(), 2u);
-  EXPECT_EQ(snapshot[0].rule, "r1");
-  EXPECT_EQ(snapshot[0].seq, 2u);
-  EXPECT_EQ(snapshot[1].rule, "r2");
-  EXPECT_EQ(snapshot[1].seq, 3u);
+  const RingView<FiringRecord> view = log.Snapshot();
+  EXPECT_EQ(view.total, 3u);
+  EXPECT_EQ(view.dropped, 1u);
+  ASSERT_EQ(view.items.size(), 2u);
+  EXPECT_EQ(view.items[0].rule, "r1");
+  EXPECT_EQ(view.items[0].seq, 2u);
+  EXPECT_EQ(view.items[1].rule, "r2");
+  EXPECT_EQ(view.items[1].seq, 3u);
 }
 
 TEST(ProvenanceLogTest, JsonDocumentCarriesCountersAndFirings) {
-  const std::vector<FiringRecord> records = {SampleFiring("monitor")};
-  const Json doc = ProvenanceJson(records, /*enabled=*/true, /*capacity=*/128,
-                                  /*total=*/5, /*dropped=*/4);
+  const Json doc = ProvenanceJson({.items = {SampleFiring("monitor")},
+                                   .capacity = 128,
+                                   .total = 5,
+                                   .dropped = 4},
+                                  /*enabled=*/true);
   EXPECT_TRUE(doc.Get("enabled")->as_bool());
   EXPECT_EQ(doc.Get("capacity")->as_int(), 128);
   EXPECT_EQ(doc.Get("total_records")->as_int(), 5);
@@ -191,12 +192,11 @@ TEST(ProvenanceLogTest, FormatMentionsRuleAndTruncation) {
   r.captured_instances = 1;
   r.total_instances = 3;
   const std::string text =
-      FormatProvenance({r}, /*enabled=*/true, /*total=*/1, /*dropped=*/0);
+      FormatProvenance({.items = {r}, .total = 1}, /*enabled=*/true);
   EXPECT_NE(text.find("monitor"), std::string::npos);
   EXPECT_NE(text.find("(7)"), std::string::npos);
 
-  const std::string empty =
-      FormatProvenance({}, /*enabled=*/false, /*total=*/0, /*dropped=*/0);
+  const std::string empty = FormatProvenance({}, /*enabled=*/false);
   EXPECT_NE(empty.find("off"), std::string::npos);
 }
 

@@ -1,6 +1,6 @@
 /// Hierarchical span tracing: RAII nesting, parent/child linkage through
 /// the thread-local current-span chain, the Chrome trace_event export, the
-/// span-tree printer, and the ring sink's non-silent overflow.
+/// span-tree printer, and the trace ring's non-silent overflow.
 
 #include "obs/span.h"
 
@@ -29,8 +29,10 @@ class SpanTest : public ::testing::Test {
   }
   void TearDown() override { SetTraceSink(previous_); }
 
-  RingTraceSink ring_{1024};
-  TraceSink* previous_ = nullptr;
+  std::vector<TraceEvent> Events() const { return ring_.Snapshot().items; }
+
+  Ring<TraceEvent> ring_{1024};
+  Ring<TraceEvent>* previous_ = nullptr;
 };
 
 TEST(SpanNoSinkTest, SpanIsInactiveWithoutASink) {
@@ -51,8 +53,9 @@ TEST_F(SpanTest, EmitsOneEventWithBookkeepingFields) {
     span.AddField("tuples", 7);
   }
   EXPECT_EQ(Span::CurrentId(), 0u);
-  ASSERT_EQ(ring_.events().size(), 1u);
-  const TraceEvent& e = ring_.events().front();
+  const std::vector<TraceEvent> events = Events();
+  ASSERT_EQ(events.size(), 1u);
+  const TraceEvent& e = events.front();
   EXPECT_TRUE(IsSpanEvent(e));
   EXPECT_EQ(e.category, "propagation");
   EXPECT_EQ(e.name, "wave");
@@ -73,9 +76,10 @@ TEST_F(SpanTest, NestedSpansLinkParentToChild) {
     EXPECT_EQ(Span::CurrentId(), outer.id());
   }
   // Children end (and are recorded) before their parents.
-  ASSERT_EQ(ring_.events().size(), 2u);
-  const TraceEvent& inner = ring_.events()[0];
-  const TraceEvent& outer = ring_.events()[1];
+  const std::vector<TraceEvent> events = Events();
+  ASSERT_EQ(events.size(), 2u);
+  const TraceEvent& inner = events[0];
+  const TraceEvent& outer = events[1];
   EXPECT_EQ(inner.name, "wave");
   EXPECT_EQ(outer.name, "check_phase");
   EXPECT_EQ(SpanField(inner, "parent_id", -1), SpanField(outer, "span_id", 0));
@@ -86,8 +90,9 @@ TEST_F(SpanTest, SetNameReplacesTheConstructionName) {
     Span span("propagation", "node");
     span.SetName("node:quantity");
   }
-  ASSERT_EQ(ring_.events().size(), 1u);
-  EXPECT_EQ(ring_.events()[0].name, "node:quantity");
+  const std::vector<TraceEvent> events = Events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].name, "node:quantity");
 }
 
 TEST_F(SpanTest, ConcurrentSpansGetDistinctIdsAndThreads) {
@@ -113,7 +118,7 @@ TEST_F(SpanTest, ChromeTraceJsonIsLoadableCompleteEvents) {
     Span inner("propagation", "wave");
     inner.AddField("base_influents_changed", 2);
   }
-  Json doc = ChromeTraceJson(ring_.events());
+  Json doc = ChromeTraceJson(Events());
   // Round-trip through the parser: the export must be well-formed JSON.
   auto parsed = Json::Parse(doc.Dump());
   ASSERT_TRUE(parsed.ok()) << parsed.status();
@@ -138,7 +143,7 @@ TEST_F(SpanTest, ChromeTraceJsonIsLoadableCompleteEvents) {
 TEST_F(SpanTest, NonSpanEventsAreSkippedByTheExporter) {
   EmitTrace(TraceEvent{"propagation", "differential", {{"produced", 3}}});
   { Span span("rules", "round"); }
-  Json doc = ChromeTraceJson(ring_.events());
+  Json doc = ChromeTraceJson(Events());
   EXPECT_EQ(doc.Get("traceEvents")->size(), 1u);
 }
 
@@ -151,7 +156,7 @@ TEST_F(SpanTest, FormatSpanTreeIndentsChildrenUnderParents) {
       { Span wave("propagation", "wave"); }
     }
   }
-  std::string tree = FormatSpanTree(ring_.events());
+  std::string tree = FormatSpanTree(Events());
   EXPECT_NE(tree.find("rules.check_phase "), std::string::npos) << tree;
   EXPECT_NE(tree.find("\n  rules.round "), std::string::npos) << tree;
   EXPECT_NE(tree.find("\n    propagation.wave "), std::string::npos) << tree;
@@ -170,12 +175,12 @@ TEST_F(SpanTest, FormatSpanTreePromotesOrphansToRoots) {
                    {"start_ns", 100},
                    {"dur_ns", 50}};
   EmitTrace(orphan);
-  std::string tree = FormatSpanTree(ring_.events());
+  std::string tree = FormatSpanTree(Events());
   EXPECT_NE(tree.find("propagation.node "), std::string::npos) << tree;
 }
 
 TEST_F(SpanTest, FormatSpanTreeOnEmptyRingSaysSo) {
-  EXPECT_EQ(FormatSpanTree(ring_.events()), "(no spans recorded)\n");
+  EXPECT_EQ(FormatSpanTree(Events()), "(no spans recorded)\n");
 }
 
 TEST(RingOverflowTest, OverflowBumpsDroppedEventsAndCounter) {
@@ -185,15 +190,19 @@ TEST(RingOverflowTest, OverflowBumpsDroppedEventsAndCounter) {
                         .GetCounter("obs.trace.dropped_events")
                         ->value();
 #endif
-  RingTraceSink ring(2);
-  for (int i = 0; i < 5; ++i) {
-    ring.OnEvent(TraceEvent{"test", "e" + std::to_string(i), {}});
+  Ring<TraceEvent> ring(2);
+  {
+    ScopedTraceScope scope(TraceScope{.sink = &ring});
+    for (int i = 0; i < 5; ++i) {
+      EmitTrace(TraceEvent{"test", "e" + std::to_string(i), {}});
+    }
   }
-  EXPECT_EQ(ring.events().size(), 2u);
-  EXPECT_EQ(ring.dropped_events(), 3u);
+  const RingView<TraceEvent> view = ring.Snapshot();
+  EXPECT_EQ(view.items.size(), 2u);
+  EXPECT_EQ(view.dropped, 3u);
   // The survivors are the most recent events.
-  EXPECT_EQ(ring.events()[0].name, "e3");
-  EXPECT_EQ(ring.events()[1].name, "e4");
+  EXPECT_EQ(view.items[0].name, "e3");
+  EXPECT_EQ(view.items[1].name, "e4");
 #if DELTAMON_OBS_ENABLED
   uint64_t after = Registry::Global()
                        .GetCounter("obs.trace.dropped_events")
@@ -203,19 +212,23 @@ TEST(RingOverflowTest, OverflowBumpsDroppedEventsAndCounter) {
 }
 
 TEST(RingOverflowTest, ZeroCapacityDropsEverything) {
-  RingTraceSink ring(0);
-  ring.OnEvent(TraceEvent{"test", "e", {}});
-  EXPECT_TRUE(ring.events().empty());
-  EXPECT_EQ(ring.dropped_events(), 1u);
+  Ring<TraceEvent> ring(0);
+  ring.Record(TraceEvent{"test", "e", {}});
+  const RingView<TraceEvent> view = ring.Snapshot();
+  EXPECT_TRUE(view.items.empty());
+  EXPECT_EQ(view.dropped, 1u);
 }
 
-TEST(RingOverflowTest, ClearKeepsTheDroppedTally) {
-  RingTraceSink ring(1);
-  ring.OnEvent(TraceEvent{"test", "a", {}});
-  ring.OnEvent(TraceEvent{"test", "b", {}});
+TEST(RingOverflowTest, ClearResetsTheDroppedTally) {
+  Ring<TraceEvent> ring(1);
+  ring.Record(TraceEvent{"test", "a", {}});
+  ring.Record(TraceEvent{"test", "b", {}});
+  EXPECT_EQ(ring.Snapshot().dropped, 1u);
   ring.Clear();
-  EXPECT_TRUE(ring.events().empty());
-  EXPECT_EQ(ring.dropped_events(), 1u);
+  const RingView<TraceEvent> view = ring.Snapshot();
+  EXPECT_TRUE(view.items.empty());
+  EXPECT_EQ(view.total, 0u);
+  EXPECT_EQ(view.dropped, 0u);
 }
 
 }  // namespace
